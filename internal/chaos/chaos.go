@@ -2,8 +2,8 @@
 // Schedule of typed network-fault events — latency spikes, connection
 // resets, blackholed requests, 5xx bursts, slow-loris response stalls
 // and asymmetric partitions between named endpoints — compiled into an
-// http.RoundTripper wrapper and a TCP-level proxy listener that inject
-// the faults into real client ↔ coordinator ↔ worker traffic.
+// http.RoundTripper wrapper that injects the faults into real client ↔
+// coordinator ↔ worker traffic.
 //
 // The paper proves stability of the *simulated* network under
 // adversarial injection; this package turns the same argument on the
@@ -20,8 +20,9 @@
 //
 // Windows are half-open [From, To) over route slots, not time: "the
 // 3rd through 7th request on this route", which is what makes replay
-// exact. Schedules share the internal/faults codec style — a compact
-// text grammar for flags and a JSON form for files (see codec.go).
+// exact. Schedules share one grammar with internal/faults
+// (internal/schedcodec) — a compact text form for flags and a JSON form
+// for files (see codec.go).
 package chaos
 
 import (
@@ -47,8 +48,7 @@ const (
 	Drop Kind = "drop"
 	// Err short-circuits matching requests with a synthesized HTTP
 	// response carrying Code (default 503); the destination is never
-	// contacted. At the TCP proxy level, where no HTTP response can be
-	// forged, Err degrades to Reset.
+	// contacted.
 	Err Kind = "err"
 	// Stall forwards the request but delays the response body by MS
 	// milliseconds before the first byte — a slow-loris read.

@@ -3,18 +3,14 @@ package chaos
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
+
+	"repro/internal/schedcodec"
 )
 
-// The codec mirrors internal/faults: a compact single-line text form
-// for CLI flags and a JSON form for schedule files. Text grammar,
-// events joined by ';':
-//
-//	kind@from-to[:param,param,...]
-//
-// with per-kind params:
+// Schedules use the text and JSON forms of internal/schedcodec, shared
+// with internal/faults, with per-kind params:
 //
 //	latency@0-64:ms=5,jitter=10[,r=*>worker1]   delay + jitter window
 //	reset@0-8:p=0.5                             probabilistic resets
@@ -25,8 +21,7 @@ import (
 //
 // Windows count per-route request slots, not time. 'r=src>dst' scopes
 // an event to one route ('*' wildcards either side; omitting r means
-// every route). JSON is either {"events":[...]} or a bare event array;
-// Parse auto-detects the form, Load additionally resolves '@path'.
+// every route).
 
 // FormatText renders s in the canonical text form: events sorted by
 // (From, To, Kind, Src, Dst), floats in shortest-exact notation, only
@@ -75,65 +70,19 @@ func FormatJSON(s Schedule) string {
 	return string(out)
 }
 
-// Parse decodes a schedule from either form: inputs starting with '{'
-// or '[' are JSON, everything else is the text grammar. The result is
-// validated and normalized (fields a kind does not use are zeroed,
+// codec is the shared schedule grammar with chaos' error prefix; chaos
+// params take no bare flags.
+var codec = schedcodec.Codec{Prefix: "chaos"}
+
+// Parse decodes a schedule in either form (see schedcodec.Decode). The
+// result is normalized (fields a kind does not use are zeroed,
 // wildcards and defaults made explicit, so parse→format→parse is the
-// identity).
+// identity), then validated.
 func Parse(input string) (Schedule, error) {
-	input = strings.TrimSpace(input)
-	if input == "" {
-		return Schedule{}, nil
-	}
-	if input[0] == '{' || input[0] == '[' {
-		return parseJSON(input)
-	}
-	return ParseText(input)
-}
-
-// Load is Parse plus '@path' indirection: an argument of the form
-// "@schedule.json" reads the schedule from that file.
-func Load(arg string) (Schedule, error) {
-	if strings.HasPrefix(arg, "@") {
-		data, err := os.ReadFile(strings.TrimPrefix(arg, "@"))
-		if err != nil {
-			return Schedule{}, fmt.Errorf("chaos: %w", err)
-		}
-		return Parse(string(data))
-	}
-	return Parse(arg)
-}
-
-func parseJSON(input string) (Schedule, error) {
 	var s Schedule
-	if input[0] == '[' {
-		if err := json.Unmarshal([]byte(input), &s.Events); err != nil {
-			return Schedule{}, fmt.Errorf("chaos: bad JSON schedule: %w", err)
-		}
-	} else if err := json.Unmarshal([]byte(input), &s); err != nil {
-		return Schedule{}, fmt.Errorf("chaos: bad JSON schedule: %w", err)
+	if err := schedcodec.Decode(codec, input, &s, &s.Events, parseEvent); err != nil {
+		return Schedule{}, err
 	}
-	return finish(s)
-}
-
-// ParseText decodes the text grammar.
-func ParseText(input string) (Schedule, error) {
-	var s Schedule
-	for _, seg := range strings.Split(input, ";") {
-		seg = strings.TrimSpace(seg)
-		if seg == "" {
-			continue
-		}
-		ev, err := parseEvent(seg)
-		if err != nil {
-			return Schedule{}, err
-		}
-		s.Events = append(s.Events, ev)
-	}
-	return finish(s)
-}
-
-func finish(s Schedule) (Schedule, error) {
 	for i := range s.Events {
 		s.Events[i] = normalizeEvent(s.Events[i])
 	}
@@ -143,70 +92,48 @@ func finish(s Schedule) (Schedule, error) {
 	return s, nil
 }
 
-func parseEvent(seg string) (Event, error) {
-	head, params, hasParams := strings.Cut(seg, ":")
-	kind, win, ok := strings.Cut(head, "@")
-	if !ok {
-		return Event{}, fmt.Errorf("chaos: event %q: want kind@from-to", seg)
-	}
-	fromS, toS, ok := strings.Cut(win, "-")
-	if !ok {
-		return Event{}, fmt.Errorf("chaos: event %q: want kind@from-to", seg)
-	}
-	from, err1 := strconv.ParseInt(fromS, 10, 64)
-	to, err2 := strconv.ParseInt(toS, 10, 64)
-	if err1 != nil || err2 != nil || from < 0 || to < 0 {
-		return Event{}, fmt.Errorf("chaos: event %q: bad window %q", seg, win)
-	}
-	ev := Event{Kind: Kind(strings.TrimSpace(kind)), From: from, To: to}
-	if !hasParams {
-		return ev, nil
-	}
-	for _, p := range strings.Split(params, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(p, "=")
-		if !ok {
-			return Event{}, fmt.Errorf("chaos: event %q: bad param %q", seg, p)
-		}
-		switch key {
+// Load is Parse plus '@path' indirection: an argument of the form
+// "@schedule.json" reads the schedule from that file.
+func Load(arg string) (Schedule, error) { return schedcodec.Load(codec, arg, Parse) }
+
+func parseEvent(e schedcodec.Event) (Event, error) {
+	ev := Event{Kind: Kind(e.Kind), From: e.From, To: e.To}
+	err := e.Params(func(p schedcodec.Param) error {
+		switch p.Key {
 		case "r":
-			src, dst, ok := strings.Cut(val, ">")
+			src, dst, ok := strings.Cut(p.Val, ">")
 			if !ok || src == "" || dst == "" {
-				return Event{}, fmt.Errorf("chaos: event %q: route %q: want src>dst", seg, val)
+				return e.Errorf("route %q: want src>dst", p.Val)
 			}
 			ev.Src, ev.Dst = src, dst
 		case "p":
-			f, err := strconv.ParseFloat(val, 64)
+			f, err := strconv.ParseFloat(p.Val, 64)
 			if err != nil {
-				return Event{}, fmt.Errorf("chaos: event %q: bad p=%q", seg, val)
+				return e.Errorf("bad p=%q", p.Val)
 			}
 			ev.P = f
-		case "ms":
-			n, err := strconv.ParseInt(val, 10, 64)
+		case "ms", "jitter":
+			n, err := strconv.ParseInt(p.Val, 10, 64)
 			if err != nil {
-				return Event{}, fmt.Errorf("chaos: event %q: bad ms=%q", seg, val)
+				return e.Errorf("bad %s=%q", p.Key, p.Val)
 			}
-			ev.MS = n
-		case "jitter":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return Event{}, fmt.Errorf("chaos: event %q: bad jitter=%q", seg, val)
+			if p.Key == "ms" {
+				ev.MS = n
+			} else {
+				ev.Jitter = n
 			}
-			ev.Jitter = n
 		case "code":
-			n, err := strconv.Atoi(val)
+			n, err := strconv.Atoi(p.Val)
 			if err != nil {
-				return Event{}, fmt.Errorf("chaos: event %q: bad code=%q", seg, val)
+				return e.Errorf("bad code=%q", p.Val)
 			}
 			ev.Code = n
 		default:
-			return Event{}, fmt.Errorf("chaos: event %q: unknown param %q", seg, key)
+			return e.Errorf("unknown param %q", p.Key)
 		}
-	}
-	return ev, nil
+		return nil
+	})
+	return ev, err
 }
 
 // normalizeEvent zeroes every field the event's kind does not use and

@@ -41,8 +41,8 @@ type action struct {
 
 // Injector compiles a Schedule + seed into per-request injection
 // decisions and records the transcript. One Injector is shared by every
-// Transport and Proxy of a process so route slot counters are global to
-// the process, like a single unreliable network.
+// Transport of a process so route slot counters are global to the
+// process, like a single unreliable network.
 //
 // Determinism contract: the decision for (route, slot) is a pure
 // function of (schedule, seed, route, slot). Slot allocation within a

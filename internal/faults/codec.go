@@ -3,20 +3,15 @@ package faults
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
 	"repro/internal/graph"
+	"repro/internal/schedcodec"
 )
 
-// The codec gives schedules a compact single-line text form for CLI flags
-// and a JSON form for experiment files. Text grammar, events joined by
-// ';':
-//
-//	kind@from-to[:param,param,...]
-//
-// with per-kind params:
+// Schedules use the text and JSON forms of internal/schedcodec, with
+// per-kind params:
 //
 //	down@100-200:e=3+4          edges 3 and 4 down for [100,200)
 //	partition@100-200:e=0+5     same, reads as a cut split
@@ -25,13 +20,11 @@ import (
 //	crash@250-300:v=7,drop      node 7 down, queue destroyed at onset
 //	lie@50-150:mode=zero[,v=0+2]
 //
-// 'e=*' / 'v=*' (or omitting the list) target every edge / node. JSON is
-// either {"events":[...]} or a bare event array; Parse auto-detects the
-// form, Load additionally resolves '@path' to the file's contents.
+// 'e=*' / 'v=*' (or omitting the list) target every edge / node.
 
 // FormatText renders s in the canonical text form: events sorted by
 // (From, To, Kind), floats in shortest-exact notation, only the fields
-// the event's kind uses. ParseText(FormatText(s)) reproduces s up to
+// the event's kind uses. Parse(FormatText(s)) reproduces s up to
 // event order and normalization.
 func FormatText(s Schedule) string {
 	var b strings.Builder
@@ -45,7 +38,7 @@ func FormatText(s Schedule) string {
 		switch ev.Kind {
 		case LinkDown, Partition:
 			if ev.Edges != nil {
-				ps = append(ps, "e="+joinEdges(ev.Edges))
+				ps = append(ps, "e="+joinIDs(ev.Edges))
 			}
 		case Burst:
 			addF("pg", ev.PGood)
@@ -53,23 +46,23 @@ func FormatText(s Schedule) string {
 			addF("gb", ev.GtoB)
 			addF("bg", ev.BtoG)
 			if ev.Edges != nil {
-				ps = append(ps, "e="+joinEdges(ev.Edges))
+				ps = append(ps, "e="+joinIDs(ev.Edges))
 			}
 		case Ramp:
 			addF("p0", ev.P0)
 			addF("p1", ev.P1)
 			if ev.Edges != nil {
-				ps = append(ps, "e="+joinEdges(ev.Edges))
+				ps = append(ps, "e="+joinIDs(ev.Edges))
 			}
 		case Crash:
-			ps = append(ps, "v="+joinNodes(ev.Nodes))
+			ps = append(ps, "v="+joinIDs(ev.Nodes))
 			if ev.Drop {
 				ps = append(ps, "drop")
 			}
 		case Lie:
 			ps = append(ps, "mode="+ev.Mode)
 			if ev.Nodes != nil {
-				ps = append(ps, "v="+joinNodes(ev.Nodes))
+				ps = append(ps, "v="+joinIDs(ev.Nodes))
 			}
 		}
 		if len(ps) > 0 {
@@ -90,64 +83,18 @@ func FormatJSON(s Schedule) string {
 	return string(out)
 }
 
-// Parse decodes a schedule from either form: inputs starting with '{' or
-// '[' are JSON, everything else is the text grammar. The result is
-// validated and normalized (fields a kind does not use are zeroed, so
-// parse→format→parse is the identity).
+// codec is the shared schedule grammar with faults' error prefix and
+// its one bare flag.
+var codec = schedcodec.Codec{Prefix: "faults", Flags: []string{"drop"}}
+
+// Parse decodes a schedule in either form (see schedcodec.Decode). The
+// result is validated and normalized (fields a kind does not use are
+// zeroed, so parse→format→parse is the identity).
 func Parse(input string) (Schedule, error) {
-	input = strings.TrimSpace(input)
-	if input == "" {
-		return Schedule{}, nil
-	}
-	if input[0] == '{' || input[0] == '[' {
-		return parseJSON(input)
-	}
-	return ParseText(input)
-}
-
-// Load is Parse plus '@path' indirection: an argument of the form
-// "@schedule.json" reads the schedule from that file.
-func Load(arg string) (Schedule, error) {
-	if strings.HasPrefix(arg, "@") {
-		data, err := os.ReadFile(strings.TrimPrefix(arg, "@"))
-		if err != nil {
-			return Schedule{}, fmt.Errorf("faults: %w", err)
-		}
-		return Parse(string(data))
-	}
-	return Parse(arg)
-}
-
-func parseJSON(input string) (Schedule, error) {
 	var s Schedule
-	if input[0] == '[' {
-		if err := json.Unmarshal([]byte(input), &s.Events); err != nil {
-			return Schedule{}, fmt.Errorf("faults: bad JSON schedule: %w", err)
-		}
-	} else if err := json.Unmarshal([]byte(input), &s); err != nil {
-		return Schedule{}, fmt.Errorf("faults: bad JSON schedule: %w", err)
+	if err := schedcodec.Decode(codec, input, &s, &s.Events, parseEvent); err != nil {
+		return Schedule{}, err
 	}
-	return finish(s)
-}
-
-// ParseText decodes the text grammar.
-func ParseText(input string) (Schedule, error) {
-	var s Schedule
-	for _, seg := range strings.Split(input, ";") {
-		seg = strings.TrimSpace(seg)
-		if seg == "" {
-			continue
-		}
-		ev, err := parseEvent(seg)
-		if err != nil {
-			return Schedule{}, err
-		}
-		s.Events = append(s.Events, ev)
-	}
-	return finish(s)
-}
-
-func finish(s Schedule) (Schedule, error) {
 	if err := s.Validate(); err != nil {
 		return Schedule{}, err
 	}
@@ -157,59 +104,38 @@ func finish(s Schedule) (Schedule, error) {
 	return s, nil
 }
 
-func parseEvent(seg string) (Event, error) {
-	head, params, hasParams := strings.Cut(seg, ":")
-	kind, win, ok := strings.Cut(head, "@")
-	if !ok {
-		return Event{}, fmt.Errorf("faults: event %q: want kind@from-to", seg)
-	}
-	fromS, toS, ok := strings.Cut(win, "-")
-	if !ok {
-		return Event{}, fmt.Errorf("faults: event %q: want kind@from-to", seg)
-	}
-	from, err1 := strconv.ParseInt(fromS, 10, 64)
-	to, err2 := strconv.ParseInt(toS, 10, 64)
-	if err1 != nil || err2 != nil || from < 0 || to < 0 {
-		return Event{}, fmt.Errorf("faults: event %q: bad window %q", seg, win)
-	}
-	ev := Event{Kind: Kind(strings.TrimSpace(kind)), From: from, To: to}
-	if !hasParams {
-		return ev, nil
-	}
-	for _, p := range strings.Split(params, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		if p == "drop" {
+// Load is Parse plus '@path' indirection: an argument of the form
+// "@schedule.json" reads the schedule from that file.
+func Load(arg string) (Schedule, error) { return schedcodec.Load(codec, arg, Parse) }
+
+func parseEvent(e schedcodec.Event) (Event, error) {
+	ev := Event{Kind: Kind(e.Kind), From: e.From, To: e.To}
+	err := e.Params(func(p schedcodec.Param) error {
+		if p.Flag { // "drop", the only flag
 			ev.Drop = true
-			continue
+			return nil
 		}
-		key, val, ok := strings.Cut(p, "=")
-		if !ok {
-			return Event{}, fmt.Errorf("faults: event %q: bad param %q", seg, p)
-		}
-		switch key {
+		switch p.Key {
 		case "e":
-			es, err := parseEdgeList(val)
+			es, err := parseIDs[graph.EdgeID](p.Val, "edge")
 			if err != nil {
-				return Event{}, fmt.Errorf("faults: event %q: %w", seg, err)
+				return e.Errorf("%w", err)
 			}
 			ev.Edges = es
 		case "v":
-			vs, err := parseNodeList(val)
+			vs, err := parseIDs[graph.NodeID](p.Val, "node")
 			if err != nil {
-				return Event{}, fmt.Errorf("faults: event %q: %w", seg, err)
+				return e.Errorf("%w", err)
 			}
 			ev.Nodes = vs
 		case "mode":
-			ev.Mode = val
+			ev.Mode = p.Val
 		case "pg", "pb", "gb", "bg", "p0", "p1":
-			f, err := strconv.ParseFloat(val, 64)
+			f, err := strconv.ParseFloat(p.Val, 64)
 			if err != nil {
-				return Event{}, fmt.Errorf("faults: event %q: bad %s=%q", seg, key, val)
+				return e.Errorf("bad %s=%q", p.Key, p.Val)
 			}
-			switch key {
+			switch p.Key {
 			case "pg":
 				ev.PGood = f
 			case "pb":
@@ -224,38 +150,25 @@ func parseEvent(seg string) (Event, error) {
 				ev.P1 = f
 			}
 		default:
-			return Event{}, fmt.Errorf("faults: event %q: unknown param %q", seg, key)
+			return e.Errorf("unknown param %q", p.Key)
 		}
-	}
-	return ev, nil
+		return nil
+	})
+	return ev, err
 }
 
-func parseEdgeList(val string) ([]graph.EdgeID, error) {
+// parseIDs decodes a '+'-joined id list; "*" decodes to nil (all).
+func parseIDs[T ~int32](val, what string) ([]T, error) {
 	if val == "*" {
 		return nil, nil
 	}
-	var out []graph.EdgeID
+	var out []T
 	for _, x := range strings.Split(val, "+") {
 		id, err := strconv.ParseInt(x, 10, 32)
 		if err != nil || id < 0 {
-			return nil, fmt.Errorf("bad edge id %q", x)
+			return nil, fmt.Errorf("bad %s id %q", what, x)
 		}
-		out = append(out, graph.EdgeID(id))
-	}
-	return out, nil
-}
-
-func parseNodeList(val string) ([]graph.NodeID, error) {
-	if val == "*" {
-		return nil, nil
-	}
-	var out []graph.NodeID
-	for _, x := range strings.Split(val, "+") {
-		id, err := strconv.ParseInt(x, 10, 32)
-		if err != nil || id < 0 {
-			return nil, fmt.Errorf("bad node id %q", x)
-		}
-		out = append(out, graph.NodeID(id))
+		out = append(out, T(id))
 	}
 	return out, nil
 }
@@ -290,18 +203,10 @@ func normalizeEvent(ev Event) Event {
 	return n
 }
 
-func joinEdges(es []graph.EdgeID) string {
-	parts := make([]string, len(es))
-	for i, e := range es {
-		parts[i] = strconv.FormatInt(int64(e), 10)
-	}
-	return strings.Join(parts, "+")
-}
-
-func joinNodes(vs []graph.NodeID) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = strconv.FormatInt(int64(v), 10)
+func joinIDs[T ~int32](ids []T) string {
+	parts := make([]string, len(ids))
+	for i, id := range ids {
+		parts[i] = strconv.FormatInt(int64(id), 10)
 	}
 	return strings.Join(parts, "+")
 }

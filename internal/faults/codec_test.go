@@ -25,7 +25,7 @@ func TestFormatTextGolden(t *testing.T) {
 	if got := FormatText(s); got != want {
 		t.Fatalf("FormatText:\n got %q\nwant %q", got, want)
 	}
-	back, err := ParseText(want)
+	back, err := Parse(want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +49,14 @@ func TestParseTextErrors(t *testing.T) {
 		"lie@0-5:mode=convincing", // unknown mode (Validate)
 	}
 	for _, in := range bad {
-		if _, err := ParseText(in); err == nil {
-			t.Errorf("ParseText(%q) succeeded, want error", in)
+		if _, err := Parse(in); err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", in)
 		}
 	}
 }
 
 func TestParseWildcardAndSpacing(t *testing.T) {
-	s, err := ParseText(" ramp@0-40:p0=0.1,p1=0.9,e=* ; ; down@5-9 ")
+	s, err := Parse(" ramp@0-40:p0=0.1,p1=0.9,e=* ; ; down@5-9 ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func FuzzScheduleRoundTrip(f *testing.F) {
 			return // rejected inputs are fine; we fuzz the accepted set
 		}
 		text := FormatText(s1)
-		s2, err := ParseText(text)
+		s2, err := Parse(text)
 		if err != nil {
 			t.Fatalf("formatted schedule does not reparse: %q: %v", text, err)
 		}

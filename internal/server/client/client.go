@@ -247,6 +247,9 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, hdr h
 			// and shedding by design — retry later, don't count it
 			// against the breaker.
 			c.breakerRecord(false)
+		case errors.Is(ctx.Err(), context.Canceled):
+			// The caller gave up on the request; that says nothing
+			// about the daemon's health.
 		default:
 			c.breakerRecord(true)
 		}

@@ -217,6 +217,30 @@ func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
+func TestCancelledRequestsDoNotTripBreaker(t *testing.T) {
+	var calls int
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls++
+		w.Write([]byte(`{"id":"job-00000003","status":"done"}`))
+	}))
+	defer ts.Close()
+	c := newTestClient(t, ts.URL, newClock(), func(cfg *Config) {
+		cfg.MaxAttempts = 1
+		cfg.BreakerThreshold = 1
+	})
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.Job(cancelled, "job-00000003"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err %v, want context.Canceled", err)
+	}
+	if _, err := c.Job(context.Background(), "job-00000003"); err != nil {
+		t.Fatalf("request after a cancelled one: %v", err)
+	}
+	if calls != 1 {
+		t.Fatalf("daemon saw %d calls, want 1", calls)
+	}
+}
+
 func TestBackpressureDoesNotTripBreaker(t *testing.T) {
 	var calls int
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

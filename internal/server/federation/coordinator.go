@@ -462,6 +462,10 @@ func New(cfg Config) (*Coordinator, error) {
 		ucfg := cfg.Client
 		ucfg.BaseURL = url
 		ucfg.MaxAttempts = 1 // the follow/guard loop is the retry policy
+		// Nor may a breaker blind the loop: a poll skipped while it
+		// cools down would hide a recovered or better claimant for the
+		// whole cooldown.
+		ucfg.BreakerThreshold = math.MaxInt
 		ucli, err := client.New(ucfg)
 		if err != nil {
 			rstore.close()
@@ -1291,7 +1295,10 @@ func (c *Coordinator) attemptRange(ctx context.Context, w *worker, spec server.J
 	workerJob := st.ID
 	st, err = w.cli.Wait(ctx, workerJob, c.cfg.Poll)
 	if err != nil {
-		if ctx.Err() != nil && !errors.Is(context.Cause(ctx), errDrain) {
+		// Worker jobs outlive a drain or a demotion on purpose: the next
+		// primary re-attaches to them by idempotency key.
+		cause := context.Cause(ctx)
+		if ctx.Err() != nil && !errors.Is(cause, errDrain) && !errors.Is(cause, errDemote) {
 			go c.reap(w, workerJob)
 		}
 		return nil, fmt.Errorf("wait: %w", err)

@@ -191,13 +191,18 @@ func (c *Coordinator) promote() {
 		c.mu.Unlock()
 		return
 	}
-	c.standby = false
 	base := c.mirrorEpoch
 	if c.maxSeenEpoch > base {
 		base = c.maxSeenEpoch
 	}
 	c.epoch = base + 1
 	epoch := c.epoch
+	// The metrics go out before the role flips under c.mu: whoever sees
+	// Standby() == false must also see the new epoch.
+	c.gEpoch.Set(epoch)
+	c.gStandby.Set(0)
+	c.cFailovers.Inc()
+	c.standby = false
 	c.reignc = make(chan struct{})
 	var requeued []server.JobState
 	for _, id := range c.order {
@@ -216,9 +221,6 @@ func (c *Coordinator) promote() {
 	for _, st := range requeued {
 		c.persist(st)
 	}
-	c.gEpoch.Set(epoch)
-	c.gStandby.Set(0)
-	c.cFailovers.Inc()
 	c.wg.Add(c.cfg.Jobs)
 	for i := 0; i < c.cfg.Jobs; i++ {
 		go c.dispatcher()
@@ -288,6 +290,8 @@ func (c *Coordinator) demote(winner string, st server.CoordStatus) {
 		c.mu.Unlock()
 		return
 	}
+	c.gStandby.Set(1)
+	c.cDemotions.Inc()
 	c.standby = true
 	if st.Epoch > c.maxSeenEpoch {
 		c.maxSeenEpoch = st.Epoch
@@ -315,8 +319,6 @@ func (c *Coordinator) demote(winner string, st server.CoordStatus) {
 			cancel(errDemote)
 		}
 	}
-	c.gStandby.Set(1)
-	c.cDemotions.Inc()
 	c.cfg.Logf("lggfed: %s claims primary at epoch %d rank %d, ahead of our epoch %d rank %d; stepping down to standby",
 		winner, st.Epoch, st.Rank, myEpoch, c.cfg.Rank)
 	c.wg.Add(1)

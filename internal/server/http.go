@@ -156,7 +156,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	StreamJournal(w, r, s.store.journalPath(id), jb.terminal, jb.doneCh, s.stopc)
+	StreamJournal(w, r, s.ledger.JournalPath(id), jb.terminal, jb.doneCh, s.stopc)
 }
 
 // lineFramer reassembles whole journal lines from arbitrary read

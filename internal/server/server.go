@@ -115,9 +115,9 @@ func (j *job) terminal() bool {
 // Server executes sweep jobs from a bounded queue with durable state.
 // Construct with New, serve its Handler, and stop with Drain.
 type Server struct {
-	cfg   Config
-	store *store
-	reg   *metrics.Registry
+	cfg    Config
+	ledger *Ledger
+	reg    *metrics.Registry
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -160,18 +160,18 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	st, replay, err := openStore(cfg.StateDir)
+	st, replay, err := OpenLedger(cfg.StateDir)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		cfg:   cfg,
-		store: st,
-		reg:   cfg.Registry,
-		jobs:  make(map[string]*job),
-		keys:  make(map[string]string),
-		wake:  make(chan struct{}, 1),
-		stopc: make(chan struct{}),
+		cfg:    cfg,
+		ledger: st,
+		reg:    cfg.Registry,
+		jobs:   make(map[string]*job),
+		keys:   make(map[string]string),
+		wake:   make(chan struct{}, 1),
+		stopc:  make(chan struct{}),
 	}
 	s.gQueue = s.reg.Gauge(MetricQueueDepth, "Jobs waiting in the admission queue.")
 	s.gInflight = s.reg.Gauge(MetricInflight, "Jobs currently executing.")
@@ -262,7 +262,7 @@ func (s *Server) Admit(spec JobSpec, key string) (JobState, bool, error) {
 	id := fmt.Sprintf("job-%08d", s.nextID)
 	s.nextID++
 	jb := &job{st: JobState{ID: id, Spec: spec, Status: StatusQueued}, doneCh: make(chan struct{})}
-	if err := s.store.append(jb.st); err != nil {
+	if err := s.ledger.Append(jb.st); err != nil {
 		s.nextID-- // nothing was admitted
 		s.mu.Unlock()
 		return JobState{}, false, err
@@ -400,7 +400,7 @@ func (s *Server) Cancel(id string) (JobState, bool) {
 // propagating) failures — an unwritable ledger must not wedge the
 // daemon's control plane.
 func (s *Server) persistState(st JobState) {
-	if err := s.store.append(st); err != nil {
+	if err := s.ledger.Append(st); err != nil {
 		s.cfg.Logf("lggd: ledger append for %s: %v", st.ID, err)
 	}
 }
@@ -487,7 +487,7 @@ func (s *Server) execute(jb *job) {
 		}
 		runs = runs[spec.RunStart : spec.RunStart+spec.RunCount]
 	}
-	journal, prefix, err := sweep.OpenJournalResume(s.store.journalPath(id), len(runs))
+	journal, prefix, err := sweep.OpenJournalResume(s.ledger.JournalPath(id), len(runs))
 	if err != nil {
 		s.finish(jb, StatusFailed, err.Error())
 		return
@@ -578,7 +578,7 @@ func (s *Server) finish(jb *job, status JobStatus, errMsg string) {
 // JournalPath reports where a job's sweep journal lives on disk (the
 // federation byte-identity tests compare these files directly).
 func (s *Server) JournalPath(id string) string {
-	return s.store.journalPath(id)
+	return s.ledger.JournalPath(id)
 }
 
 // Draining reports whether admission is closed.
@@ -632,5 +632,5 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 		<-workersDone
 	}
-	return s.store.close()
+	return s.ledger.Close()
 }

@@ -27,13 +27,21 @@ func unitResolver() GridResolver {
 		Name: "unit",
 		Desc: "synthetic test grid",
 		Jobs: func(cfg experiments.Config) []sweep.Job {
-			g := &sweep.Grid{
+			spec := core.NewSpec(graph.Line(5)).SetSource(0, 1).SetSink(4, 1)
+			jobs, err := (&sweep.Space{
 				Name: "unit", BaseSeed: cfg.Seed, Replicas: cfg.Seeds, Horizon: cfg.Horizon,
-				Networks: []sweep.Network{{Name: "line(5)", New: func() *core.Spec {
-					return core.NewSpec(graph.Line(5)).SetSource(0, 1).SetSink(4, 1)
-				}}},
+				Axes: []sweep.Axis{
+					{Name: "network", Labels: []string{"line(5)"}},
+					{Name: "router", Labels: []string{"lgg"}},
+					{Name: "variant", Labels: []string{""}},
+				},
+				SeedFn: func(sweep.Point, int) uint64 { return cfg.Seed },
+				Build:  func(sweep.Probe) *core.Engine { return core.NewEngine(spec, core.NewLGG()) },
+			}).Jobs()
+			if err != nil {
+				panic(err)
 			}
-			return g.Jobs()
+			return jobs
 		},
 	}
 	return func(name string) (experiments.NamedGrid, error) {

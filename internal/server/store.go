@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -29,14 +28,13 @@ type storeHeader struct {
 	Store string `json:"store"`
 }
 
-// store owns the state directory.
-type store struct {
+// Ledger owns a state directory. The daemon and the federation
+// coordinator both persist their jobs through it, so either state
+// directory is readable by the same tooling.
+type Ledger struct {
 	dir string
 	// lastDispatched is the tenant of the most recent queued→running
-	// transition found while replaying the ledger. The federation
-	// coordinator uses it to re-seat its round-robin fair-share cursor
-	// after a restart, so the tenant that was served last does not get
-	// served first again.
+	// transition found while replaying the ledger.
 	lastDispatched string
 
 	mu  sync.Mutex
@@ -44,9 +42,9 @@ type store struct {
 	enc *json.Encoder
 }
 
-// openStore opens (or initialises) the state directory and replays the
-// job ledger. Jobs come back in first-submission order.
-func openStore(dir string) (*store, []JobState, error) {
+// OpenLedger opens (or initialises) dir as a job ledger and replays it;
+// jobs come back in first-submission order.
+func OpenLedger(dir string) (*Ledger, []JobState, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "results"), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("server: state dir: %w", err)
 	}
@@ -72,7 +70,7 @@ func openStore(dir string) (*store, []JobState, error) {
 			f.Close()
 			return nil, nil, fmt.Errorf("server: job ledger: %w", err)
 		}
-		s := &store{dir: dir, f: f, enc: json.NewEncoder(f)}
+		s := &Ledger{dir: dir, f: f, enc: json.NewEncoder(f)}
 		if err := s.enc.Encode(storeHeader{Store: storeVersion}); err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("server: job ledger header: %w", err)
@@ -118,13 +116,13 @@ func openStore(dir string) (*store, []JobState, error) {
 	for _, id := range order {
 		jobs = append(jobs, *latest[id])
 	}
-	return &store{dir: dir, lastDispatched: lastDispatched, f: f, enc: json.NewEncoder(f)}, jobs, nil
+	return &Ledger{dir: dir, lastDispatched: lastDispatched, f: f, enc: json.NewEncoder(f)}, jobs, nil
 }
 
-// append durably records a job snapshot: one whole-line write, then
+// Append durably records a job snapshot: one whole-line write, then
 // fsync. Transitions are rare (a handful per job), so the fsync cost is
 // irrelevant next to a sweep.
-func (s *store) append(js JobState) error {
+func (s *Ledger) Append(js JobState) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.enc.Encode(&js); err != nil {
@@ -133,61 +131,27 @@ func (s *store) append(js JobState) error {
 	return s.f.Sync()
 }
 
-// journalPath is where a job's sweep journal lives.
-func (s *store) journalPath(id string) string {
+// JournalPath is where a job's (merged) sweep journal lives.
+func (s *Ledger) JournalPath(id string) string {
 	return filepath.Join(s.dir, "results", id+".jsonl")
 }
 
-// removeJournal deletes a job's sweep journal (used when a cancelled
+// RemoveJournal deletes a job's sweep journal (used when a cancelled
 // queued job never produced one — ignore absence).
-func (s *store) removeJournal(id string) {
-	err := os.Remove(s.journalPath(id))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		// Best-effort cleanup; the journal is harmless if left behind.
-		_ = err
-	}
+func (s *Ledger) RemoveJournal(id string) {
+	// Best-effort cleanup; the journal is harmless if left behind.
+	_ = os.Remove(s.JournalPath(id))
 }
-
-// Ledger is the exported face of the store for the federation
-// coordinator, which persists its own jobs with the same crash
-// discipline (and the same JobState records) as a single daemon but
-// lives in a separate package. The coordinator's state directory is
-// therefore readable by the same tooling as a daemon's.
-type Ledger struct {
-	s *store
-}
-
-// OpenLedger opens (or initialises) dir as a job ledger and replays it;
-// jobs come back in first-submission order.
-func OpenLedger(dir string) (*Ledger, []JobState, error) {
-	s, jobs, err := openStore(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Ledger{s: s}, jobs, nil
-}
-
-// Append durably records a job snapshot (whole-line write + fsync).
-func (l *Ledger) Append(js JobState) error { return l.s.append(js) }
-
-// JournalPath is where the job's (merged) sweep journal lives.
-func (l *Ledger) JournalPath(id string) string { return l.s.journalPath(id) }
-
-// RemoveJournal deletes a job's sweep journal, ignoring absence.
-func (l *Ledger) RemoveJournal(id string) { l.s.removeJournal(id) }
 
 // LastDispatchedTenant reports the tenant of the most recent
 // queued→running transition in the replayed ledger (empty if none).
 // The federation coordinator re-seats its round-robin fair-share cursor
-// just past this tenant on restart, preserving dispatch fairness across
-// a crash or failover.
-func (l *Ledger) LastDispatchedTenant() string { return l.s.lastDispatched }
+// just past this tenant on restart, so the tenant that was served last
+// does not get served first again.
+func (s *Ledger) LastDispatchedTenant() string { return s.lastDispatched }
 
 // Close flushes and closes the ledger.
-func (l *Ledger) Close() error { return l.s.close() }
-
-// close closes the ledger.
-func (s *store) close() error {
+func (s *Ledger) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.f.Sync(); err != nil {

@@ -17,9 +17,6 @@ import (
 // (adaptive.go) instead probes a numeric axis at arbitrary coordinates,
 // which only works because the axis — not an opaque closure — is the
 // unit of parameterization.
-//
-// The legacy Grid (grid.go) survives as a thin compat layer that builds
-// a Space out of its three fixed axes.
 
 // Axis is one dimension of a Space. Exactly one of three shapes:
 //
@@ -170,8 +167,7 @@ func (p Point) Label(axis string) (string, bool) {
 
 // Probe identifies one engine build request: the coordinate vector, the
 // replica number within that coordinate, the derived seed, and the dense
-// emission index (which the legacy Grid compat layer feeds to
-// rng.ForRun).
+// emission index (which a Build can feed to rng.ForRun).
 type Probe struct {
 	Index   int
 	Point   Point

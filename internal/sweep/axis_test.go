@@ -182,11 +182,11 @@ func TestSpaceGroupsAndPointWith(t *testing.T) {
 	}
 }
 
-// TestLegacyGridDescUnchanged pins the compat layer: the legacy Grid's
-// jobs keep their historical descriptors (Seed == BaseSeed, bare variant
-// labels, no Coords) so journaled sweeps resume across the redesign.
+// TestLegacyGridDescUnchanged pins the historical descriptors of a
+// categorical space with a constant SeedFn (Seed == BaseSeed, bare
+// variant labels, no Coords), so journaled sweeps of such grids resume.
 func TestLegacyGridDescUnchanged(t *testing.T) {
-	jobs := testGrid(2, 100).Jobs()
+	jobs := testJobs(2, 100)
 	for i, j := range jobs {
 		d := j.Desc
 		if d.Seed != 1 {

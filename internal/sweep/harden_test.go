@@ -22,13 +22,13 @@ import (
 // TestPanicIsolation: one poisoned job must become a Failed result while
 // every other run completes untouched — a panic never kills the sweep.
 func TestPanicIsolation(t *testing.T) {
-	clean := testGrid(2, 150).Jobs()
+	clean := testJobs(2, 150)
 	want, err := (&Runner{Workers: 4}).Run(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	poisoned := testGrid(2, 150).Jobs()
+	poisoned := testJobs(2, 150)
 	const bad = 7
 	poisoned[bad].Build = func(seed uint64) *core.Engine { panic("boom at 7") }
 	rs, err := (&Runner{Workers: 4}).Run(poisoned)
@@ -58,13 +58,13 @@ func TestPanicIsolation(t *testing.T) {
 // TestRetryRecoversTransientPanic: a run that panics once and then
 // succeeds must be retried into a normal result when Retries allows.
 func TestRetryRecoversTransientPanic(t *testing.T) {
-	clean := testGrid(1, 100).Jobs()
+	clean := testJobs(1, 100)
 	want, err := (&Runner{Workers: 1}).Run(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	flaky := testGrid(1, 100).Jobs()
+	flaky := testJobs(1, 100)
 	const idx = 3
 	inner := flaky[idx].Build
 	var calls atomic.Int64
@@ -131,7 +131,7 @@ func readJournal(t *testing.T, path string) (journalHeader, []Result) {
 // resume from the journal, and the final output must be byte-identical to
 // an uninterrupted run.
 func TestJournalResumeReproducesSweep(t *testing.T) {
-	jobs := testGrid(2, 150).Jobs()
+	jobs := testJobs(2, 150)
 	want, err := (&Runner{Workers: 4}).Run(jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +237,7 @@ func TestJournalRejectsForeignFiles(t *testing.T) {
 // TestResumePrefixValidated: a resume prefix that does not match the job
 // list (wrong seed) must be refused before any run starts.
 func TestResumePrefixValidated(t *testing.T) {
-	jobs := testGrid(1, 100).Jobs()
+	jobs := testJobs(1, 100)
 	bogus := []Result{{Desc: Desc{Index: 0, Seed: 999, Horizon: 100}}}
 	if _, err := (&Runner{Resume: bogus}).Run(jobs); err == nil {
 		t.Fatal("mismatched resume prefix accepted")
@@ -252,7 +252,7 @@ func TestResumePrefixValidated(t *testing.T) {
 // when a sweep is cut off by its deadline, whatever reached the journal on
 // disk must be exactly the finished, in-order prefix the runner returned.
 func TestJournalHoldsFinishedPrefixOnTimeout(t *testing.T) {
-	jobs := testGrid(4, 200_000).Jobs()
+	jobs := testJobs(4, 200_000)
 	path := filepath.Join(t.TempDir(), "timeout.jsonl")
 	j, err := CreateJournal(path, len(jobs))
 	if err != nil {
@@ -279,46 +279,46 @@ func TestJournalHoldsFinishedPrefixOnTimeout(t *testing.T) {
 	}
 }
 
-// faultGrid is testGrid's sibling with fault injection on every axis: a
-// burst-loss window, a link-down window and a crash, plus a recovery
-// observer whose report must surface in the sweep results.
-func faultGrid(replicas int, horizon int64) *Grid {
+// faultJobs is testJobs' sibling with fault injection on every run: a
+// burst-loss window and a link-down window, plus a recovery observer
+// whose report must surface in the sweep results.
+func faultJobs(replicas int, horizon int64) []Job {
 	sched := faults.Schedule{Events: []faults.Event{
 		{Kind: faults.Burst, From: 20, To: 80, PGood: 0.02, PBad: 0.5, GtoB: 0.1, BtoG: 0.3},
 		{Kind: faults.LinkDown, From: 40, To: 70, Edges: []graph.EdgeID{0}},
 	}}
-	return &Grid{
+	specs := []*core.Spec{
+		core.NewSpec(graph.Cycle(4)).SetSource(0, 1).SetSink(2, 2),
+		core.NewSpec(graph.ThetaGraph(3, 2)).SetSource(0, 2).SetSink(1, 3),
+	}
+	return mustJobs(&Space{
 		Name:     "fault-test",
 		BaseSeed: 7,
 		Replicas: replicas,
 		Horizon:  horizon,
-		Networks: []Network{
-			{"cycle(4)", func() *core.Spec {
-				return core.NewSpec(graph.Cycle(4)).SetSource(0, 1).SetSink(2, 2)
-			}},
-			{"theta(3,2)", func() *core.Spec {
-				return core.NewSpec(graph.ThetaGraph(3, 2)).SetSource(0, 2).SetSink(1, 3)
-			}},
+		Axes: []Axis{
+			{Name: "network", Labels: []string{"cycle(4)", "theta(3,2)"}},
+			{Name: "router", Labels: []string{"lgg"}},
+			{Name: "variant", Labels: []string{"faulty"}},
 		},
-		Routers: []RouterAxis{
-			{"lgg", func(*core.Spec, *rng.Source) core.Router { return core.NewLGG() }},
+		SeedFn: func(Point, int) uint64 { return 7 },
+		Build: func(p Probe) *core.Engine {
+			e := core.NewEngine(specs[int(p.Point[0].Value)], core.NewLGG())
+			r := rng.ForRun(7, uint64(p.Index)).Split(2)
+			if _, err := faults.Inject(e, sched, r.Split(0xFA)); err != nil {
+				panic(err)
+			}
+			e.AddObserver(faults.NewRecoveryObserver(sched))
+			return e
 		},
-		Variants: []Variant{
-			{"faulty", func(e *core.Engine, r *rng.Source) {
-				if _, err := faults.Inject(e, sched, r.Split(0xFA)); err != nil {
-					panic(err)
-				}
-				e.AddObserver(faults.NewRecoveryObserver(sched))
-			}},
-		},
-	}
+	})
 }
 
 // TestFaultSweepDeterminism extends the worker-count contract to fault
 // injection: Gilbert–Elliott chains, link-down windows and the recovery
 // report must all be byte-identical at 1 and 8 workers.
 func TestFaultSweepDeterminism(t *testing.T) {
-	jobs := faultGrid(4, 300).Jobs()
+	jobs := faultJobs(4, 300)
 	encode := func(workers int) string {
 		rs, err := (&Runner{Workers: workers}).Run(jobs)
 		if err != nil {

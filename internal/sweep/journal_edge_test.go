@@ -36,7 +36,7 @@ func (d *brokenDisk) Write(p []byte) (int, error) {
 // must still complete and return every computed result — the write error
 // is reported once, after the results, never by killing runs.
 func TestJournalDiskFullSurfacedNotFatal(t *testing.T) {
-	jobs := testGrid(2, 150).Jobs()
+	jobs := testJobs(2, 150)
 	want, err := (&Runner{Workers: 4}).Run(jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestJournalHeaderWriteError(t *testing.T) {
 // against the missing path must start a fresh journal from run zero and
 // still reproduce the uninterrupted bytes.
 func TestJournalDeletedMidRun(t *testing.T) {
-	jobs := testGrid(2, 150).Jobs()
+	jobs := testJobs(2, 150)
 	want, err := (&Runner{Workers: 4}).Run(jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestJournalDeletedMidRun(t *testing.T) {
 // artefact. Each must resume from the preceding good line and reproduce
 // the uninterrupted bytes.
 func TestResumePartialJSONTails(t *testing.T) {
-	jobs := testGrid(2, 150).Jobs()
+	jobs := testJobs(2, 150)
 	want, err := (&Runner{Workers: 4}).Run(jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestResumePartialJSONTails(t *testing.T) {
 // TestReadJournalResults covers the read-only journal view the daemon
 // serves results from: full file, torn tail, and header validation.
 func TestReadJournalResults(t *testing.T) {
-	jobs := testGrid(1, 100).Jobs()
+	jobs := testJobs(1, 100)
 	want, err := (&Runner{Workers: 2}).Run(jobs)
 	if err != nil {
 		t.Fatal(err)

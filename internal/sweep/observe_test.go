@@ -39,7 +39,7 @@ func TestTimeoutCancelsMidRun(t *testing.T) {
 }
 
 func TestRunWithContextCallerCancel(t *testing.T) {
-	jobs := testGrid(2, 100_000).Jobs()
+	jobs := testJobs(2, 100_000)
 	ctx, cancel := context.WithCancel(context.Background())
 	var got int
 	r := &Runner{Workers: 2, OnResult: func(Job, Result, *sim.Result) {
@@ -94,7 +94,7 @@ func TestAggregateCellsValues(t *testing.T) {
 // between a 1-worker and an 8-worker execution of the same grid.
 func TestObservabilityDeterminism(t *testing.T) {
 	const replicas = 2
-	jobs := testGrid(replicas, 300).Jobs()
+	jobs := testJobs(replicas, 300)
 	type outputs struct{ cellsJSONL, cellsCSV, prom, events string }
 	capture := func(workers int) outputs {
 		var events bytes.Buffer

@@ -16,42 +16,55 @@ import (
 	"repro/internal/sim"
 )
 
-// testGrid exercises every randomized axis (arrivals thinning, losses,
+// testJobs exercises every randomized axis (arrivals thinning, losses,
 // random-tie routing) so a determinism regression cannot hide behind a
-// deterministic workload.
-func testGrid(replicas int, horizon int64) *Grid {
-	return &Grid{
+// deterministic workload. Every run keeps the base seed and draws from
+// rng.ForRun(base, index): sub-stream 1 feeds the router, 2 the variant.
+func testJobs(replicas int, horizon int64) []Job {
+	specs := []*core.Spec{
+		core.NewSpec(graph.Line(5)).SetSource(0, 1).SetSink(4, 1),
+		core.NewSpec(graph.ThetaGraph(3, 2)).SetSource(0, 2).SetSink(1, 3),
+	}
+	return mustJobs(&Space{
 		Name:     "test",
 		BaseSeed: 1,
 		Replicas: replicas,
 		Horizon:  horizon,
-		Networks: []Network{
-			{"line(5)", func() *core.Spec {
-				return core.NewSpec(graph.Line(5)).SetSource(0, 1).SetSink(4, 1)
-			}},
-			{"theta(3,2)", func() *core.Spec {
-				return core.NewSpec(graph.ThetaGraph(3, 2)).SetSource(0, 2).SetSink(1, 3)
-			}},
+		Axes: []Axis{
+			{Name: "network", Labels: []string{"line(5)", "theta(3,2)"}},
+			{Name: "router", Labels: []string{"lgg", "lgg-random-ties"}},
+			{Name: "variant", Labels: []string{"exact", "thinned+lossy"}},
 		},
-		Routers: []RouterAxis{
-			{"lgg", func(*core.Spec, *rng.Source) core.Router { return core.NewLGG() }},
-			{"lgg-random-ties", func(_ *core.Spec, r *rng.Source) core.Router {
-				return core.NewLGGRandomTies(r)
-			}},
-		},
-		Variants: []Variant{
-			{"exact", nil},
-			{"thinned+lossy", func(e *core.Engine, r *rng.Source) {
+		SeedFn: func(Point, int) uint64 { return 1 },
+		Build: func(p Probe) *core.Engine {
+			rs := rng.ForRun(1, uint64(p.Index))
+			var router core.Router = core.NewLGG()
+			if p.Point[1].Value == 1 {
+				router = core.NewLGGRandomTies(rs.Split(1))
+			}
+			e := core.NewEngine(specs[int(p.Point[0].Value)], router)
+			if p.Point[2].Value == 1 {
+				r := rs.Split(2)
 				e.Arrivals = &arrivals.Thinned{P: 0.8, R: r.Split(1)}
 				e.Loss = &loss.Bernoulli{P: 0.2, R: r.Split(2)}
-			}},
+			}
+			return e
 		},
+	})
+}
+
+// mustJobs enumerates a fixture space, which is enumerable by
+// construction.
+func mustJobs(s *Space) []Job {
+	jobs, err := s.Jobs()
+	if err != nil {
+		panic(err)
 	}
+	return jobs
 }
 
 func TestGridEnumeration(t *testing.T) {
-	g := testGrid(3, 100)
-	jobs := g.Jobs()
+	jobs := testJobs(3, 100)
 	if len(jobs) != 2*2*2*3 {
 		t.Fatalf("grid enumerated %d jobs, want 24", len(jobs))
 	}
@@ -72,7 +85,7 @@ func TestGridEnumeration(t *testing.T) {
 // TestDeterminismAcrossWorkerCounts is the sweep contract: the same grid
 // run with 1 worker and with 8 workers produces byte-identical JSON lines.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
-	jobs := testGrid(2, 300).Jobs()
+	jobs := testJobs(2, 300)
 	encode := func(workers int) string {
 		r := &Runner{Workers: workers}
 		rs, err := r.Run(jobs)
@@ -103,7 +116,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunnerOrderAndOnResult(t *testing.T) {
-	jobs := testGrid(2, 120).Jobs()
+	jobs := testJobs(2, 120)
 	var seen []int
 	r := &Runner{Workers: 4, Window: 5, OnResult: func(j Job, res Result, full *sim.Result) {
 		if full == nil || full.Totals.Steps != 120 {
@@ -131,7 +144,7 @@ func TestRunnerOrderAndOnResult(t *testing.T) {
 func TestRunnerTimeout(t *testing.T) {
 	// Long-horizon jobs with a tiny deadline: the runner must stop
 	// dispatching, return a clean prefix and wrap ErrTimeout.
-	jobs := testGrid(4, 200_000).Jobs()
+	jobs := testJobs(4, 200_000)
 	r := &Runner{Workers: 2, Timeout: time.Millisecond}
 	rs, err := r.Run(jobs)
 	if !errors.Is(err, ErrTimeout) {
@@ -237,7 +250,7 @@ func TestReporterThrottles(t *testing.T) {
 }
 
 func TestProgressCountsUp(t *testing.T) {
-	jobs := testGrid(1, 50).Jobs()
+	jobs := testJobs(1, 50)
 	var last Progress
 	r := &Runner{Workers: 3, Progress: func(p Progress) {
 		if p.Done != last.Done+1 || p.Total != len(jobs) {

@@ -111,8 +111,6 @@ func WriteSeriesCSV(w io.Writer, s *Series) error { return trace.WriteSeriesCSV(
 
 // Sweep harness.
 type (
-	// SweepGrid declares a cartesian sweep (networks × routers × variants).
-	SweepGrid = sweep.Grid
 	// SweepJob is one run of a sweep.
 	SweepJob = sweep.Job
 	// SweepDesc identifies a run within its grid.
