@@ -4,24 +4,25 @@
 //
 // Each entry reports ns/step, allocs/step, B/step and sends/sec in steady
 // state (the engine is warmed before measurement, so lazily-built state —
-// CSR incidence, scratch buffers, the active-node list — is already in
+// CSR incidence, scratch buffers, the block layout — is already in
 // place). The plan/* entries isolate the router hot path on a frozen
-// snapshot; the step/* entries measure the full synchronous step.
+// snapshot; the step/* entries measure the full synchronous step. The
+// sparse-line rows put a source/sink pair near one end of a long line, so
+// traffic occupies a handful of nodes and all but one of the engine's
+// 1024-node blocks stay clean: the localized regime the block engine's
+// dirty tracking targets. A -w2 suffix marks a row stepped with
+// Engine.Workers = 2; every other row runs inline and has a budget of 0
+// allocs/step.
 //
-// With -shard it additionally benchmarks the partition-parallel step path
-// on 64k–1M node sparse topologies, writing BENCH_shard.json with the
-// measured speedup of each shard count over the serial engine. With
-// -gate FILE it compares the step results against a committed
-// BENCH_step.json and exits non-zero when ns/step regresses beyond the
-// tolerance or when any allocation-free path starts allocating — the CI
-// bench gate.
+// With -gate FILE it checks those alloc budgets and compares ns/step
+// against the rows of a committed BENCH_step.json, exiting non-zero when
+// a row regresses beyond the tolerance — the CI bench gate.
 //
 // Examples:
 //
 //	lggbench -out BENCH_step.json
 //	lggbench -benchtime 5000x -note "after CSR rewrite" -out -
-//	lggbench -shard -shardout BENCH_shard.json
-//	lggbench -quick -shard -gate BENCH_step.json -out /tmp/step.json
+//	lggbench -quick -gate BENCH_step.json -out /tmp/step.json
 package main
 
 import (
@@ -35,7 +36,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/shard"
 )
 
 // result is one benchmark row of BENCH_step.json.
@@ -54,6 +54,7 @@ type report struct {
 	Generated string   `json:"generated"`
 	Go        string   `json:"go"`
 	GOARCH    string   `json:"goarch"`
+	CPUs      int      `json:"cpus,omitempty"`
 	Note      string   `json:"note,omitempty"`
 	Results   []result `json:"results"`
 }
@@ -88,8 +89,10 @@ func gridSpec(side int) *core.Spec {
 	return s
 }
 
-func sparseLineSpec() *core.Spec {
-	return core.NewSpec(graph.Line(4096)).SetSource(0, 1).SetSink(8, 1)
+// lineSpec is a sparse line of n nodes: source at node 0 injecting
+// 1/step, sink at node 8 draining 1/step.
+func lineSpec(n int) *core.Spec {
+	return core.NewSpec(graph.Line(n)).SetSource(0, 1).SetSink(8, 1)
 }
 
 // workload names one benchmark: either the full step loop or the plan-only
@@ -98,151 +101,30 @@ type workload struct {
 	name     string
 	spec     func() *core.Spec
 	planOnly bool
+	workers  int  // Engine.Workers for step rows
+	full     bool // skipped under -quick
 }
 
 var workloads = []workload{
 	{name: "plan/dense8x8", spec: denseSpec, planOnly: true},
 	{name: "step/dense8x8", spec: denseSpec},
 	{name: "step/grid16x16", spec: gridSpec16},
-	{name: "step/line4096-sparse", spec: sparseLineSpec},
+	{name: "step/line4096-sparse", spec: func() *core.Spec { return lineSpec(1 << 12) }},
+	{name: "step/line64k-sparse", spec: func() *core.Spec { return lineSpec(1 << 16) }},
+	{name: "step/line1M-sparse", spec: func() *core.Spec { return lineSpec(1 << 20) }, full: true},
+	{name: "step/line1M-sparse-w2", spec: func() *core.Spec { return lineSpec(1 << 20) }, workers: 2, full: true},
 }
 
 func gridSpec16() *core.Spec { return gridSpec(16) }
 
 const warmSteps = 200
 
-// shardResult is one row of BENCH_shard.json. Shards == 1 rows are the
-// serial reference the speedup column is measured against.
-type shardResult struct {
-	Name        string  `json:"name"`
-	Nodes       int     `json:"nodes"`
-	Shards      int     `json:"shards"`
-	Workers     int     `json:"workers"`
-	Steps       int     `json:"steps"`
-	NsPerStep   float64 `json:"ns_per_step"`
-	AllocsPerOp int64   `json:"allocs_per_step"`
-	BytesPerOp  int64   `json:"bytes_per_step"`
-	Speedup     float64 `json:"speedup_vs_serial,omitempty"`
-}
-
-// shardReport is the whole BENCH_shard.json document.
-type shardReport struct {
-	Schema    string        `json:"schema"`
-	Generated string        `json:"generated"`
-	Go        string        `json:"go"`
-	GOARCH    string        `json:"goarch"`
-	CPUs      int           `json:"cpus"`
-	Note      string        `json:"note,omitempty"`
-	Results   []shardResult `json:"results"`
-}
-
-// shardCase is one sharded-step workload: a long sparse line with a
-// source/sink pair near one end, so in steady state traffic occupies a
-// handful of nodes and all but one shard stays clean. This is the regime
-// the sharded engine targets: LGG routing is local, so on localized
-// workloads the dirty-shard bookkeeping skips the O(n) snapshot/stats
-// sweeps that dominate the serial step at these sizes.
-type shardCase struct {
-	name   string
-	nodes  int
-	shards []int
-}
-
-func shardCases(quick bool) []shardCase {
-	if quick {
-		return []shardCase{{"line64k", 1 << 16, []int{8}}}
-	}
-	return []shardCase{
-		{"line64k", 1 << 16, []int{2, 8}},
-		{"line256k", 1 << 18, []int{2, 8}},
-		{"line1M", 1 << 20, []int{8, 64}},
-	}
-}
-
-// shardLineSpec mirrors sparseLineSpec at parametric size: source at node
-// 0 injecting 1/step, sink at node 8 draining 1/step.
-func shardLineSpec(n int) *core.Spec {
-	return core.NewSpec(graph.Line(n)).SetSource(0, 1).SetSink(8, 1)
-}
-
-// runShardStep measures the steady-state step over spec with the given
-// shard count (1 = serial engine, no sharding enabled). Workers is pinned
-// to 1: the speedups here come from clean-shard skipping, not goroutines,
-// and the inline path is the allocation-free one the gate checks.
-func runShardStep(name string, nodes, shards int) shardResult {
-	spec := shardLineSpec(nodes)
-	e := core.NewEngine(spec, core.NewLGG())
-	workers := 0
-	if shards > 1 {
-		workers = 1
-		p := shard.ByRange(spec.G, shards)
-		if err := e.EnableSharding(p, workers); err != nil {
-			fmt.Fprintf(os.Stderr, "lggbench: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-	}
-	for i := 0; i < warmSteps; i++ {
-		e.Step()
-	}
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e.Step()
-		}
-	})
-	return shardResult{
-		Name:        name,
-		Nodes:       nodes,
-		Shards:      shards,
-		Workers:     workers,
-		Steps:       r.N,
-		NsPerStep:   float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-	}
-}
-
-// runShardSuite benchmarks every shard case serially and at each shard
-// count, filling in the speedup column from the matching serial row.
-func runShardSuite(quick bool, note string) shardReport {
-	rep := shardReport{
-		Schema:    "lggbench/shard/v1",
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Go:        runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		CPUs:      runtime.NumCPU(),
-		Note:      note,
-	}
-	for _, c := range shardCases(quick) {
-		serial := runShardStep(c.name+"/serial", c.nodes, 1)
-		printShard(serial)
-		rep.Results = append(rep.Results, serial)
-		for _, k := range c.shards {
-			res := runShardStep(fmt.Sprintf("%s/shards%d", c.name, k), c.nodes, k)
-			if res.NsPerStep > 0 {
-				res.Speedup = serial.NsPerStep / res.NsPerStep
-			}
-			printShard(res)
-			rep.Results = append(rep.Results, res)
-		}
-	}
-	return rep
-}
-
-func printShard(r shardResult) {
-	fmt.Fprintf(os.Stderr, "%-18s %12.1f ns/step %6d B/step %4d allocs/step",
-		r.Name, r.NsPerStep, r.BytesPerOp, r.AllocsPerOp)
-	if r.Speedup > 0 {
-		fmt.Fprintf(os.Stderr, "   %5.2fx vs serial", r.Speedup)
-	}
-	fmt.Fprintln(os.Stderr)
-}
-
-// gate compares fresh step results against a committed baseline report
-// and checks the alloc budgets, returning the violations. A workload is
-// only compared when the baseline has a row of the same name, so adding
-// workloads does not break the gate.
-func gate(fresh []result, shardFresh []shardResult, baselinePath string, tolerance float64) []string {
+// gate checks the alloc budgets and compares fresh step results against
+// a committed baseline report, returning the violations. Every inline
+// row (Workers ≤ 1) must be allocation-free, baseline row or not; ns/step
+// is only compared when the baseline has a row of the same name, so
+// adding workloads does not break the gate.
+func gate(fresh []result, baselinePath string, tolerance float64) []string {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return []string{fmt.Sprintf("cannot read baseline %s: %v", baselinePath, err)}
@@ -257,26 +139,28 @@ func gate(fresh []result, shardFresh []shardResult, baselinePath string, toleran
 	}
 	var bad []string
 	for _, r := range fresh {
+		if workloadByName(r.Name).workers <= 1 && r.AllocsPerOp > 0 {
+			bad = append(bad, fmt.Sprintf("%s: %d allocs/step (budget is 0)", r.Name, r.AllocsPerOp))
+		}
 		b, ok := byName[r.Name]
 		if !ok {
 			continue
-		}
-		if b.AllocsPerOp == 0 && r.AllocsPerOp > 0 {
-			bad = append(bad, fmt.Sprintf("%s: %d allocs/step (budget is 0)", r.Name, r.AllocsPerOp))
 		}
 		if limit := b.NsPerStep * (1 + tolerance); r.NsPerStep > limit {
 			bad = append(bad, fmt.Sprintf("%s: %.0f ns/step exceeds baseline %.0f +%.0f%% (%.0f)",
 				r.Name, r.NsPerStep, b.NsPerStep, tolerance*100, limit))
 		}
 	}
-	// The sharded step path shares the serial engine's zero-alloc budget:
-	// any allocation in steady state is a regression regardless of speed.
-	for _, r := range shardFresh {
-		if r.Shards > 1 && r.AllocsPerOp > 0 {
-			bad = append(bad, fmt.Sprintf("%s: sharded step allocates (%d allocs/step, budget is 0)", r.Name, r.AllocsPerOp))
+	return bad
+}
+
+func workloadByName(name string) workload {
+	for _, w := range workloads {
+		if w.name == name {
+			return w
 		}
 	}
-	return bad
+	return workload{}
 }
 
 func runPlan(w workload) result {
@@ -302,6 +186,7 @@ func runPlan(w workload) result {
 
 func runStep(w workload) result {
 	e := core.NewEngine(w.spec(), core.NewLGG())
+	e.Workers = w.workers
 	for i := 0; i < warmSteps; i++ {
 		e.Step()
 	}
@@ -345,9 +230,7 @@ func main() {
 		benchtime = flag.String("benchtime", "", "passed to -test.benchtime (e.g. 2000x, 1s)")
 		note      = flag.String("note", "", "free-form note recorded in the report")
 		list      = flag.Bool("list", false, "list workloads and exit")
-		shardRun  = flag.Bool("shard", false, "also run the sharded-step suite and write -shardout")
-		shardOut  = flag.String("shardout", "BENCH_shard.json", "shard-suite output path (- = stdout)")
-		quick     = flag.Bool("quick", false, "CI mode: smallest shard case and a short benchtime")
+		quick     = flag.Bool("quick", false, "CI mode: skip the 1M-node rows and use a short benchtime")
 		gateFile  = flag.String("gate", "", "baseline BENCH_step.json to gate against (exit 1 on regression)")
 		gateTol   = flag.Float64("gate-tolerance", 0.30, "allowed ns/step regression fraction in -gate mode")
 	)
@@ -356,10 +239,9 @@ func main() {
 
 	if *list {
 		for _, w := range workloads {
-			fmt.Println(w.name)
-		}
-		for _, c := range shardCases(*quick) {
-			fmt.Printf("shard/%s\n", c.name)
+			if !w.full || !*quick {
+				fmt.Println(w.name)
+			}
 		}
 		return
 	}
@@ -379,6 +261,7 @@ func main() {
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		Go:        runtime.Version(),
 		GOARCH:    runtime.GOARCH,
+		CPUs:      runtime.NumCPU(),
 		Note:      *note,
 	}
 	// In gate mode each workload is measured three times and the fastest
@@ -391,6 +274,9 @@ func main() {
 		runs = 3
 	}
 	for _, w := range workloads {
+		if w.full && *quick {
+			continue
+		}
 		res := runWorkload(w)
 		for i := 1; i < runs; i++ {
 			r2 := runWorkload(w)
@@ -408,14 +294,8 @@ func main() {
 
 	writeJSON(*out, rep)
 
-	var shardRep shardReport
-	if *shardRun {
-		shardRep = runShardSuite(*quick, *note)
-		writeJSON(*shardOut, shardRep)
-	}
-
 	if *gateFile != "" {
-		if bad := gate(rep.Results, shardRep.Results, *gateFile, *gateTol); len(bad) > 0 {
+		if bad := gate(rep.Results, *gateFile, *gateTol); len(bad) > 0 {
 			for _, msg := range bad {
 				fmt.Fprintf(os.Stderr, "lggbench: GATE FAIL: %s\n", msg)
 			}

@@ -63,8 +63,7 @@ func main() {
 		metricsPath = flag.String("metrics", "", "write Prometheus text metrics after the run (- = stdout)")
 		eventsPath  = flag.String("events", "", "stream per-step JSONL events to this file (- = stdout)")
 		eventStride = flag.Int64("eventstride", 1, "emit only every Nth step event")
-		shards      = flag.Int("shards", 0, "run the step loop over this many partition shards (0/1 = serial; output is byte-identical either way)")
-		shardWk     = flag.Int("shard-workers", 0, "intra-step worker goroutines when sharded (0 = GOMAXPROCS)")
+		shardWk     = flag.Int("shard-workers", 0, "intra-step worker goroutines over the engine's 1024-node blocks (≤1 = inline; output is byte-identical either way)")
 	)
 	flag.Parse()
 
@@ -158,14 +157,7 @@ func main() {
 		e.AddObserver(ew)
 	}
 
-	if *shards > 1 {
-		if _, ok := rt.(core.ShardableRouter); !ok {
-			fmt.Fprintf(os.Stderr, "lggsim: router %s is not shardable; running serial (results are identical)\n", rt.Name())
-		} else {
-			fmt.Printf("sharding:    %d shards, %d workers\n", *shards, *shardWk)
-		}
-	}
-	res := sim.Run(e, sim.Options{Horizon: *horizon, Shards: *shards, ShardWorkers: *shardWk})
+	res := sim.Run(e, sim.Options{Horizon: *horizon, ShardWorkers: *shardWk})
 	if ew != nil {
 		if err := ew.Flush(); err != nil {
 			fatal(err)

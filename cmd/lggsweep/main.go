@@ -39,7 +39,7 @@
 //	         [-seed 1] [-timeout 10m] [-out runs.jsonl] [-csv runs.csv] \
 //	         [-cells cells.jsonl] [-events events.jsonl] [-metrics metrics.prom] \
 //	         [-faults 'down@100-200:e=3'] [-journal ckpt.jsonl] [-resume] \
-//	         [-retries 2] [-quick] [-shards 8] [-shard-workers 1]
+//	         [-retries 2] [-quick] [-shard-workers 1]
 //	lggsweep -grid frontier -adaptive -axis rho [-tol 0.05] [-threshold 0.5] \
 //	         [-min-seeds 4] [-max-seeds 16] [-out frontier.jsonl] \
 //	         [-probes probes.jsonl] [-journal ckpt.jsonl] [-resume]
@@ -82,8 +82,7 @@ func main() {
 		quick       = flag.Bool("quick", false, "reduced workloads (CI sizes)")
 		quiet       = flag.Bool("quiet", false, "suppress the progress reporter")
 		faultsArg   = flag.String("faults", "", "inject this fault schedule into every run (text, JSON, or @file)")
-		shards      = flag.Int("shards", 0, "run every engine's step loop over this many partition shards (0/1 = serial; output is byte-identical either way)")
-		shardWk     = flag.Int("shard-workers", 1, "intra-step worker goroutines per sharded engine (0 = GOMAXPROCS; 1 recommended — sweeps already parallelize across runs)")
+		shardWk     = flag.Int("shard-workers", 1, "intra-step worker goroutines per engine over its 1024-node blocks (≤1 = inline, recommended — sweeps already parallelize across runs)")
 		journalPath = flag.String("journal", "", "checkpoint finished runs to this JSONL journal as the sweep progresses")
 		resume      = flag.Bool("resume", false, "resume from the -journal file instead of re-running its prefix")
 		retries     = flag.Int("retries", 0, "re-attempts for a run that panics before recording it as failed")
@@ -116,10 +115,6 @@ func main() {
 		}
 		if *journalPath != "" || *resume || *eventsPath != "" {
 			fmt.Fprintln(os.Stderr, "lggsweep: -journal, -resume and -events are local-mode flags; with -remote the daemon owns durability")
-			os.Exit(2)
-		}
-		if *shards > 1 {
-			fmt.Fprintln(os.Stderr, "lggsweep: -shards is a local-mode flag; the daemon picks its own execution strategy (results are identical)")
 			os.Exit(2)
 		}
 		rs, err := runRemote(*remote, remoteSpec(*grid, *seed, *seeds, *horizon, *quick, *faultsArg, *timeout, *tenant), *quiet)
@@ -161,8 +156,7 @@ func main() {
 			axis: *axis, tol: *tol, threshold: *threshold,
 			minSeeds: *minSeeds, maxSeeds: *maxSeeds,
 			workers: *workers, timeout: *timeout, retries: *retries, quiet: *quiet,
-			shards: *shards, shardWorkers: *shardWk,
-			journalPath: *journalPath, resume: *resume,
+			shardWorkers: *shardWk, journalPath: *journalPath, resume: *resume,
 			out: *out, probesPath: *probesPath, metricsPath: *metricsPath,
 		})
 		return
@@ -174,11 +168,8 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *shards > 1 {
-		if err := experiments.ApplyShards(jobs, *shards, *shardWk); err != nil {
-			fmt.Fprintf(os.Stderr, "lggsweep: %v\n", err)
-			os.Exit(2)
-		}
+	for i := range jobs {
+		jobs[i].Options.ShardWorkers = *shardWk
 	}
 
 	runner := &sweep.Runner{Workers: *workers, Timeout: *timeout, Retries: *retries}
@@ -264,17 +255,16 @@ func main() {
 
 // adaptiveFlags bundles the flag values the adaptive mode consumes.
 type adaptiveFlags struct {
-	axis                 string
-	tol, threshold       float64
-	minSeeds, maxSeeds   int
-	workers, retries     int
-	timeout              time.Duration
-	quiet                bool
-	shards, shardWorkers int
-	journalPath          string
-	resume               bool
-	out, probesPath      string
-	metricsPath          string
+	axis                           string
+	tol, threshold                 float64
+	minSeeds, maxSeeds             int
+	workers, retries, shardWorkers int
+	timeout                        time.Duration
+	quiet                          bool
+	journalPath                    string
+	resume                         bool
+	out, probesPath                string
+	metricsPath                    string
 }
 
 // runAdaptive drives the frontier search: journal/resume wiring with the
@@ -282,10 +272,7 @@ type adaptiveFlags struct {
 // the frontier outputs. Exits the process on error; the journal always
 // holds the completed prefix, so a killed or failed refinement resumes.
 func runAdaptive(space *sweep.Space, f adaptiveFlags) {
-	if f.shards > 1 {
-		space.Options.Shards = f.shards
-		space.Options.ShardWorkers = f.shardWorkers
-	}
+	space.Options.ShardWorkers = f.shardWorkers
 	runner := &sweep.Runner{Workers: f.workers, Timeout: f.timeout, Retries: f.retries}
 	if !f.quiet {
 		runner.Progress = sweep.NewReporter(os.Stderr, time.Second)

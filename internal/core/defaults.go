@@ -21,6 +21,10 @@ func (ExactArrivals) Injections(_ int64, spec *Spec, inj []int64) {
 	copy(inj, spec.In)
 }
 
+// SourcesOnly implements SourceOnlyArrivals: classical sources inject
+// exactly at the spec's source nodes.
+func (ExactArrivals) SourcesOnly() bool { return true }
+
 // NoLoss never loses a packet.
 type NoLoss struct{}
 

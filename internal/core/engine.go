@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/graph"
 )
@@ -19,6 +18,18 @@ type ArrivalProcess interface {
 	// inj[v] for every node (the engine pre-zeroes inj). Entries must be
 	// non-negative.
 	Injections(t int64, spec *Spec, inj []int64)
+}
+
+// SourceOnlyArrivals marks arrival processes whose injections land only
+// on nodes with spec.In[v] > 0 (entries elsewhere stay zero). The
+// injection scan then visits each block's source nodes instead of its
+// whole node set — the difference between O(|S|) and O(n) per step on a
+// million-node topology with a handful of sources.
+type SourceOnlyArrivals interface {
+	ArrivalProcess
+	// SourcesOnly reports whether the guarantee holds for this instance
+	// (wrappers delegate to their inner process).
+	SourcesOnly() bool
 }
 
 // LossModel decides, per attempted transmission, whether the packet is
@@ -152,7 +163,12 @@ type StepTrace struct {
 // Engine executes the synchronous network semantics of Section II:
 // inject → plan (on a common snapshot) → transmit with losses → extract.
 // The zero value is not usable; construct with NewEngine and then
-// optionally override the pluggable behaviours before the first Step.
+// optionally override the pluggable behaviours before the first Step
+// (or call SetQueues after replacing Arrivals).
+//
+// The step runs over fixed blocks of the node-id space with dirty
+// tracking (blocks.go), so a step's cost follows the region that carries
+// traffic rather than the whole topology.
 type Engine struct {
 	Spec     *Spec
 	Router   Router
@@ -164,15 +180,24 @@ type Engine struct {
 	Interference Interference
 	Topology     TopologyProcess
 
+	// Workers bounds intra-step parallelism: the prep and stats phases
+	// fan out over blocks, and the plan phase of a ShardableRouter over
+	// runs of the active list, on up to min(Workers, blocks) goroutines.
+	// ≤ 1 runs every phase inline on the calling goroutine without
+	// allocating — the right choice inside sweeps, which already
+	// parallelize across runs. Output is byte-identical at any value,
+	// and the engine keeps no goroutines between steps.
+	Workers int
+
 	// Q is the live queue vector; read it freely between steps. Do not
 	// write entries directly — use SetQueues, which also rebuilds the
-	// engine's active-node bookkeeping.
+	// engine's block bookkeeping.
 	Q []int64
 	// T is the next step to execute.
 	T int64
 
 	// scratch
-	inj      []int64
+	inj      []int64 // zero between steps
 	declared []int64
 	snapQ    []int64
 	alive    []bool
@@ -189,25 +214,32 @@ type Engine struct {
 	// Step allocation-free.
 	obsStats StepStats
 
-	// Active-node bookkeeping: active is the sorted node list handed to
-	// routers via Snapshot.Active (invariant: it contains every node with
-	// Q > 0); activeMark[v] reports membership in active ∪ newlyActive;
-	// newlyActive collects 0→positive transitions since the last
-	// compaction; activeSpare is the merge double-buffer. injDirty and
-	// sentDirty record which inj/sentBy entries were made nonzero this
-	// step, so the next step zeroes only those instead of sweeping all n.
-	active      []graph.NodeID
-	activeSpare []graph.NodeID
-	newlyActive []graph.NodeID
-	activeMark  []bool
-	injDirty    []graph.NodeID
-	sentDirty   []graph.NodeID
+	// Block bookkeeping (blocks.go). shift is log2 of the block size,
+	// blockShift unless an in-package test overrides it before the first
+	// Step; blocks is empty until the next Step lays it out. active is
+	// the concatenation of the block active lists, handed to routers as
+	// Snapshot.Active; activeMark[v] reports membership in v's block
+	// active or newly list. sentDirty records which sentBy entries were
+	// made nonzero this step, so the next step zeroes only those.
+	shift      uint
+	blocks     []block
+	active     []graph.NodeID
+	activeMark []bool
+	sentDirty  []graph.NodeID
+	// retention lists the nodes with R > 0 in ascending order, for the
+	// serial declaration pass.
+	retention []graph.NodeID
+	// srcOnly caches the SourceOnlyArrivals answer of Arrivals at
+	// layout, which is why behaviours are set before the first Step.
+	srcOnly bool
 	// sinks lists the nodes with out(v) > 0 in ascending order, so the
 	// extraction phase does not scan non-destination nodes.
 	sinks []graph.NodeID
-	// sh, when non-nil, switches Step to the partition-parallel path
-	// (see sharded.go). Managed by EnableSharding/DisableSharding.
-	sh *sharding
+	// planners are the router clones of a parallel plan phase, built for
+	// router planFor at planW workers.
+	planners []planner
+	planFor  ShardableRouter
+	planW    int
 }
 
 // EnableTrace switches on per-step tracing and returns the trace buffer,
@@ -245,6 +277,8 @@ func NewEngine(spec *Spec, router Router) *Engine {
 		sentBy:     make([]int64, n),
 		edgeUsed:   make([]int64, spec.G.NumEdges()),
 		activeMark: make([]bool, n),
+		active:     []graph.NodeID{}, // never nil: nil Active means "no information"
+		shift:      blockShift,
 	}
 	for v := 0; v < n; v++ {
 		if spec.Out[v] > 0 {
@@ -255,12 +289,13 @@ func NewEngine(spec *Spec, router Router) *Engine {
 }
 
 // SetQueues overwrites the current queue vector (for experiments that
-// start from a prepared state, e.g. Property 2 probes). It also resets the
-// engine's step-scoped scratch: the edge-use markers (callers that reset T
-// to replay from a prepared state would otherwise race stale T+1 markers
-// from the previous run and count phantom collisions), the sparse
-// injection/sends bookkeeping, and the active-node list, which is rebuilt
-// from the new queue vector.
+// start from a prepared state, e.g. Property 2 probes). Passing e.Q itself
+// resynchronises the engine after in-place edits of Q between steps. It
+// also resets the engine's step-scoped scratch: the edge-use markers
+// (callers that reset T to replay from a prepared state would otherwise
+// race stale T+1 markers from the previous run and count phantom
+// collisions), the sparse injection/sends bookkeeping, and the blocks,
+// which the next Step lays out again from the new queue vector.
 func (e *Engine) SetQueues(q []int64) {
 	if len(q) != len(e.Q) {
 		panic("core: queue vector length mismatch")
@@ -275,62 +310,8 @@ func (e *Engine) SetQueues(q []int64) {
 	for i := range e.sentBy {
 		e.sentBy[i] = 0
 	}
-	e.injDirty = e.injDirty[:0]
 	e.sentDirty = e.sentDirty[:0]
-	e.newlyActive = e.newlyActive[:0]
-	e.active = e.active[:0]
-	for v := range e.Q {
-		pos := e.Q[v] > 0
-		e.activeMark[v] = pos
-		if pos {
-			e.active = append(e.active, graph.NodeID(v))
-		}
-	}
-	if e.sh != nil {
-		e.sh.reset(e)
-	}
-}
-
-// markActive records a 0→positive queue transition.
-func (e *Engine) markActive(v graph.NodeID) {
-	if !e.activeMark[v] {
-		e.activeMark[v] = true
-		e.newlyActive = append(e.newlyActive, v)
-	}
-}
-
-// compactActive folds newlyActive into the sorted active list and drops
-// nodes whose queue has drained, preserving the invariant that active is
-// strictly ascending and contains every node with Q > 0. Amortized cost
-// is O(|active| + |new|·log|new|) per step with no allocations in steady
-// state.
-func (e *Engine) compactActive() {
-	if len(e.newlyActive) > 1 {
-		slices.Sort(e.newlyActive)
-	}
-	dst := e.activeSpare[:0]
-	a, b := e.active, e.newlyActive
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var v graph.NodeID
-		// activeMark guarantees a and b are disjoint, so plain min-merge
-		// keeps the output strictly ascending.
-		if j >= len(b) || (i < len(a) && a[i] < b[j]) {
-			v = a[i]
-			i++
-		} else {
-			v = b[j]
-			j++
-		}
-		if e.Q[v] > 0 {
-			dst = append(dst, v)
-		} else {
-			e.activeMark[v] = false
-		}
-	}
-	e.activeSpare = e.active
-	e.active = dst
-	e.newlyActive = e.newlyActive[:0]
+	e.blocks = e.blocks[:0]
 }
 
 // Snapshot returns the snapshot the router saw at the most recent step.
@@ -339,50 +320,47 @@ func (e *Engine) Snapshot() *Snapshot { return &e.lastSnap }
 
 // Step executes one synchronous time step and returns its statistics.
 func (e *Engine) Step() StepStats {
-	if e.sh != nil {
-		return e.stepSharded()
-	}
 	spec := e.Spec
 	g := spec.G
-	n := spec.N()
 	st := StepStats{T: e.T}
-
-	// Phase 1: injection. inj is zero except for last step's entries.
-	for _, v := range e.injDirty {
-		e.inj[v] = 0
+	if len(e.blocks) == 0 {
+		e.layout()
 	}
-	e.injDirty = e.injDirty[:0]
+	w := e.workers()
+
+	// Phase 1: injection. inj is all zero: prep consumes every entry.
+	if e.trace != nil {
+		for v := range e.trace.Injected {
+			e.trace.Injected[v] = 0
+		}
+	}
 	e.Arrivals.Injections(e.T, spec, e.inj)
-	for v := 0; v < n; v++ {
-		x := e.inj[v]
-		if x == 0 {
-			continue
-		}
-		if x < 0 {
-			panic(fmt.Sprintf("core: arrival process injected %d < 0 at node %d", x, v))
-		}
-		e.Q[v] += x
-		st.Injected += x
-		e.injDirty = append(e.injDirty, graph.NodeID(v))
-		e.markActive(graph.NodeID(v))
-	}
 
-	// Phase 2: snapshot and declared queues.
-	e.compactActive()
-	copy(e.snapQ, e.Q)
-	for v := 0; v < n; v++ {
-		q, r := e.snapQ[v], spec.R[v]
-		if r > 0 && q <= r {
-			d := e.Declare.Declare(e.T, graph.NodeID(v), q, r)
-			if d < 0 {
-				d = 0
-			}
-			if d > r {
-				d = r
-			}
-			e.declared[v] = d
-		} else {
-			e.declared[v] = q
+	// Phase 2: snapshot. Each block applies its injections and, if its
+	// queues changed, refreshes its active list and snapshot mirrors.
+	if w > 1 {
+		e.fanBlocks(w, (*Engine).prepBlock)
+	} else {
+		for i := range e.blocks {
+			e.prepBlock(&e.blocks[i])
+		}
+	}
+	if len(e.blocks) == 1 {
+		st.Injected, e.active = e.blocks[0].injected, e.blocks[0].active
+	} else {
+		e.active = e.active[:0]
+		for i := range e.blocks {
+			b := &e.blocks[i]
+			st.Injected += b.injected
+			e.active = append(e.active, b.active...)
+		}
+	}
+	// R-generalized nodes with q ≤ r declare through the policy, in
+	// ascending node order. A node above r keeps the truthful value: its
+	// queue changed since it last lied, so its block was refreshed.
+	for _, v := range e.retention {
+		if q, r := e.snapQ[v], spec.R[v]; q <= r {
+			e.declared[v] = min(max(e.Declare.Declare(e.T, v, q, r), 0), r)
 		}
 	}
 	var alive []bool
@@ -398,7 +376,7 @@ func (e *Engine) Step() StepStats {
 	e.lastSnap = Snapshot{Spec: spec, T: e.T, Q: e.snapQ, Declared: e.declared, Alive: alive, Active: e.active}
 
 	// Phase 3: plan.
-	e.sends = e.Router.Plan(&e.lastSnap, e.sends[:0])
+	e.plan(w)
 	st.Planned = int64(len(e.sends))
 
 	// Phase 3b: interference filtering.
@@ -442,7 +420,6 @@ func (e *Engine) Step() StepStats {
 	if e.trace != nil {
 		e.trace.Sends = append(e.trace.Sends[:0], e.sends...)
 		e.trace.Lost = e.trace.Lost[:0]
-		copy(e.trace.Injected, e.inj)
 		for v := range e.trace.Extracted {
 			e.trace.Extracted[v] = 0
 		}
@@ -465,6 +442,7 @@ func (e *Engine) Step() StepStats {
 			e.trace.Lost = append(e.trace.Lost, lost)
 		}
 	}
+	e.touchSends()
 
 	// Phase 5: extraction (Definition 7(i)), destinations only.
 	for _, v := range e.sinks {
@@ -482,17 +460,26 @@ func (e *Engine) Step() StepStats {
 		if amt > hi {
 			amt = hi
 		}
-		e.Q[v] -= amt
+		if amt > 0 {
+			e.Q[v] -= amt
+			e.blocks[v>>e.shift].dirty = snapDirty | statDirty
+		}
 		st.Extracted += amt
 		if e.trace != nil {
 			e.trace.Extracted[v] = amt
 		}
 	}
 
+	// Phase 6: stats over the post-step queues, from dirty blocks only.
 	e.T++
-	st.Potential, st.Overflowed = PotentialSat(e.Q)
-	st.Queued = TotalQueued(e.Q)
-	st.MaxQueue = MaxQueue(e.Q)
+	if w > 1 {
+		e.fanBlocks(w, (*Engine).statBlock)
+	} else {
+		for i := range e.blocks {
+			e.statBlock(&e.blocks[i])
+		}
+	}
+	e.stats(&st)
 	if len(e.observers) > 0 {
 		e.obsStats = st
 		for _, o := range e.observers {

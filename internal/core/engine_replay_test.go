@@ -60,18 +60,20 @@ func TestActiveListInvariant(t *testing.T) {
 					t.Fatalf("seed %d step %d: active list not ascending: %v", seed, i, e.active)
 				}
 			}
-			inActive := make(map[graph.NodeID]bool, len(e.active)+len(e.newlyActive))
+			inActive := make(map[graph.NodeID]bool, len(e.active))
 			for _, v := range e.active {
 				inActive[v] = true
 			}
-			for _, v := range e.newlyActive {
-				inActive[v] = true
+			for _, b := range e.blocks {
+				for _, v := range b.newly {
+					inActive[v] = true
+				}
 			}
-			// Compaction (merging newlyActive in, dropping drained nodes)
-			// happens at the next step's planning point, so between steps
-			// active may hold drained nodes and fresh arrivals still sit in
-			// newlyActive — but no node that currently stores packets may be
-			// missing from their union.
+			// Compaction (merging each block's newly list in, dropping
+			// drained nodes) happens at the next step's planning point, so
+			// between steps active may hold drained nodes and fresh
+			// arrivals still sit in newly — but no node that currently
+			// stores packets may be missing from their union.
 			for v, q := range e.Q {
 				if q > 0 && !inActive[graph.NodeID(v)] {
 					t.Fatalf("seed %d step %d: node %d has q=%d but is not active (%v)",

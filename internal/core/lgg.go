@@ -157,6 +157,16 @@ func (l *LGG) Name() string {
 	return name
 }
 
+// ShardClone implements ShardableRouter. Each clone is a fresh LGG with
+// its own scratch; TieRandom is refused (nil) because its key stream is
+// drawn in global plan order.
+func (l *LGG) ShardClone(int, int) Router {
+	if l.Tie == TieRandom {
+		return nil
+	}
+	return &LGG{Tie: l.Tie, MinGradient: l.MinGradient}
+}
+
 // Plan implements Router. It is a faithful transcription of Algorithm 1
 // run at every node on the common snapshot. When the snapshot carries an
 // active-node list the scan is restricted to it (the list is sorted and

@@ -301,16 +301,34 @@ func TestLGGPlanZeroAlloc(t *testing.T) {
 }
 
 // TestStepZeroAlloc asserts the zero-alloc contract of the whole engine
-// step in steady state (stable workload, warm buffers).
+// step in steady state (warm buffers) with inline workers, on the dense
+// 8×8 spec (one block) and on a sparse 4096-node line (four blocks, all
+// but one clean).
 func TestStepZeroAlloc(t *testing.T) {
-	e := NewEngine(benchDenseSpec(), NewLGG())
-	for i := 0; i < 200; i++ {
-		e.Step()
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		e.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("Step allocates %.1f times per call in steady state, want 0", allocs)
+	for _, c := range []struct {
+		name   string
+		spec   *Spec
+		blocks int
+	}{
+		{"dense8x8", benchDenseSpec(), 1},
+		{"line4096", NewSpec(graph.Line(4096)).SetSource(0, 1).SetSink(8, 1), 4},
+	} {
+		for _, workers := range []int{0, 1} {
+			e := NewEngine(c.spec, NewLGG())
+			e.Workers = workers
+			for i := 0; i < 200; i++ {
+				e.Step()
+			}
+			if len(e.blocks) != c.blocks {
+				t.Fatalf("%s: %d blocks, want %d", c.name, len(e.blocks), c.blocks)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				e.Step()
+			})
+			if allocs != 0 {
+				t.Fatalf("%s (workers=%d): Step allocates %.1f times per call in steady state, want 0",
+					c.name, workers, allocs)
+			}
+		}
 	}
 }

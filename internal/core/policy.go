@@ -58,3 +58,22 @@ type Router interface {
 	Name() string
 	Plan(sn *Snapshot, buf []Send) []Send
 }
+
+// ShardableRouter is a Router whose plan can be split across goroutines.
+// Implementations must guarantee that, for a snapshot whose Active list
+// is a contiguous run of the full active list, a clone emits exactly the
+// sends the parent would emit for those nodes, in the same order — so
+// concatenating the clones' batches in run order reproduces the plan of
+// one call over the whole list. Localized protocols satisfy this for
+// free; centralized routers (max-flow, global gradient) do not and
+// should not implement the interface. Implementations must be comparable
+// (typically pointer types): the engine caches clones per router.
+type ShardableRouter interface {
+	Router
+	// ShardClone returns an independent Router instance for run s of k
+	// (own scratch, no shared mutable state). It returns nil when this
+	// configuration cannot be split deterministically — e.g. LGG with
+	// random tie-breaking, whose tie-key stream is consumed in global
+	// plan order — and the engine then plans with one call.
+	ShardClone(s, k int) Router
+}

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/arrivals"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -11,29 +9,15 @@ import (
 	"repro/internal/sweep"
 )
 
-// ApplyShards sets the sharded execution knobs on every job. Because the
-// sharded step path is byte-identical to the serial one, applying shards
-// never changes a sweep's JSONL output — only its execution strategy.
-// The shard-determinism CI job runs the same grid at shard counts 1, 2
-// and 8 and cmps the outputs to hold that promise.
-func ApplyShards(jobs []sweep.Job, shards, workers int) error {
-	if shards < 0 || workers < 0 {
-		return fmt.Errorf("experiments: negative shard configuration (%d shards, %d workers)", shards, workers)
-	}
-	for i := range jobs {
-		jobs[i].Options.Shards = shards
-		jobs[i].Options.ShardWorkers = workers
-	}
-	return nil
-}
-
 // ShardSpace is the workload behind the shard-determinism CI gate: LGG
 // on localized topologies crossed with the stochastic machinery whose
-// call order the sharded engine must preserve exactly — Bernoulli losses
+// call order the block engine must preserve exactly — Bernoulli losses
 // (one RNG draw per attempted transmission, in global send order),
 // thinned and bursty arrivals, and a lying retention band that forces
-// collisions. If the sharded path reorders anything, these runs change
-// byte-for-byte.
+// collisions. CI holds its JSONL to a recorded hash at one and two
+// workers (testdata/shard_grid.sha256). Every network here fits in one
+// block; multi-block layouts are held to the same trajectories by the
+// core layout-matrix tests and by CI's 64-block lggsim comparison.
 func ShardSpace(cfg Config) *sweep.Space {
 	type cell struct {
 		name  string

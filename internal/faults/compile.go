@@ -366,9 +366,7 @@ type crashDrop struct {
 }
 
 // crashObserver zeroes the crashed nodes' queues after step at−1, i.e.
-// immediately before the crash window opens. Zeroing Q between steps is
-// safe: the engine's active-list compaction handles positive→0
-// transitions at the next planning point. The dropped packets simply
+// immediately before the crash window opens. The dropped packets simply
 // vanish — the preceding step's stats still show them (stats are taken
 // before observers run), and the next step's Queued reflects the drop.
 type crashObserver struct {
@@ -385,8 +383,11 @@ func (c *crashObserver) OnStep(t int64, sn *core.Snapshot, st *core.StepStats) {
 	dropQueues(c.eng, c.drop.nodes)
 }
 
+// dropQueues zeroes the nodes' queues in place and hands Q back to the
+// engine through SetQueues, which rebuilds its block bookkeeping.
 func dropQueues(e *core.Engine, nodes []graph.NodeID) {
 	for _, v := range nodes {
 		e.Q[v] = 0
 	}
+	e.SetQueues(e.Q)
 }

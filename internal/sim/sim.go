@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/shard"
 	"repro/internal/stats"
 )
 
@@ -48,17 +47,11 @@ type Options struct {
 	// run fleet shares one observer (RunSeeds, sweeps), must be safe for
 	// concurrent use — see core.StepObserver.
 	Observers []core.StepObserver
-	// Shards > 1 runs the engine's partition-parallel step path over a
-	// deterministic BFS partition of the topology (core.EnableSharding).
-	// Output is byte-identical to a serial run at any shard count; the
-	// knob trades per-step sweep cost for partition overhead. Engines
-	// whose router cannot be sharded (or that are already sharded by
-	// their factory) silently run serial — sharding is an execution
-	// strategy, never a semantic change.
-	Shards int
-	// ShardWorkers bounds intra-step parallelism when Shards > 1: 1 (the
-	// right choice inside sweeps, which already parallelize across runs)
-	// executes shards inline; 0 means one worker per available CPU.
+	// ShardWorkers sets the engine's Workers: the goroutines its prep,
+	// stats and plan phases fan out over. ≤ 1, the zero value included
+	// (the right choice inside sweeps, which already parallelize across
+	// runs), runs every phase inline. Output is byte-identical at any
+	// value.
 	ShardWorkers int
 }
 
@@ -147,17 +140,7 @@ func RunContext(ctx context.Context, e *core.Engine, opts Options) *Result {
 	if opts.Horizon <= 0 {
 		panic("sim: Run needs a positive horizon")
 	}
-	if opts.Shards > 1 {
-		if k, _ := e.Sharding(); k == 0 {
-			p := shard.ByBFS(e.Spec.G, opts.Shards)
-			if err := e.EnableSharding(p, opts.ShardWorkers); err == nil {
-				// Always detach before returning: engines outlive their
-				// runs (callers read Q, re-run, pool them) and worker
-				// goroutines must not outlive the run that spawned them.
-				defer e.DisableSharding()
-			}
-		}
-	}
+	e.Workers = opts.ShardWorkers
 	stride := opts.Stride
 	if stride <= 0 {
 		stride = 1
