@@ -447,28 +447,9 @@ func (c *Client) CoordinatorStatus(ctx context.Context) (server.CoordStatus, err
 	return st, nil
 }
 
-// Wait polls until the job is terminal (the poll cadence rides the same
-// injectable Sleep as the retry loop).
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (server.JobState, error) {
-	if poll <= 0 {
-		poll = 500 * time.Millisecond
-	}
-	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		if st.Status.Terminal() {
-			return st, nil
-		}
-		if err := c.cfg.Sleep(ctx, poll); err != nil {
-			return st, err
-		}
-	}
-}
-
-// Results fetches a terminal job's results as decoded sweep results.
-// (Calling it on a live job streams until the job finishes.)
+// Results fetches a job's results as decoded sweep results. A live job's
+// stream ends when the job is terminal, so this is also how to wait for
+// one; a stream short of the job's run count means it did not finish.
 func (c *Client) Results(ctx context.Context, id string) ([]sweep.Result, error) {
 	raw, err := c.do(ctx, "GET", "/v1/jobs/"+id+"/results", nil, nil)
 	if err != nil {

@@ -397,7 +397,7 @@ func TestContextCancelKeepsAttemptError(t *testing.T) {
 }
 
 func TestEndToEndAgainstRealServer(t *testing.T) {
-	// The client against the real daemon handler: submit, wait, results.
+	// The client against the real daemon handler: submit, follow results, status.
 	srv, err := server.New(server.Config{
 		StateDir: t.TempDir(), Jobs: 1, SweepWorkers: 2,
 	})
@@ -422,16 +422,18 @@ func TestEndToEndAgainstRealServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fin, err := c.Wait(ctx, st.ID, 10*time.Millisecond)
+	// Results follows the live journal until the job is terminal, so
+	// the status read after it is final.
+	rs, err := c.Results(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := c.Job(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fin.Status != server.StatusDone || fin.Done != fin.Total || fin.Total == 0 {
 		t.Fatalf("final state %+v", fin)
-	}
-	rs, err := c.Results(ctx, st.ID)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(rs) != fin.Total {
 		t.Fatalf("results %d, want %d", len(rs), fin.Total)

@@ -67,6 +67,14 @@ func unitResolver(perRun func()) server.GridResolver {
 // newWorker starts one lggd daemon and returns its base URL.
 func newWorker(t *testing.T, perRun func()) (*server.Server, string) {
 	t.Helper()
+	return newWrappedWorker(t, perRun, nil)
+}
+
+// newWrappedWorker is newWorker with the daemon's handler passed
+// through wrap (nil = unwrapped), so a test can observe or gate the
+// requests the coordinator makes.
+func newWrappedWorker(t *testing.T, perRun func(), wrap func(http.Handler) http.Handler) (*server.Server, string) {
+	t.Helper()
 	s, err := server.New(server.Config{
 		StateDir:     t.TempDir(),
 		Jobs:         2,
@@ -76,7 +84,11 @@ func newWorker(t *testing.T, perRun func()) (*server.Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
+	h := s.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -95,9 +107,6 @@ func newCoordinator(t *testing.T, cfg Config, workers ...string) (*Coordinator, 
 	cfg.Workers = append(cfg.Workers, workers...)
 	if cfg.FindGrid == nil {
 		cfg.FindGrid = unitResolver(nil)
-	}
-	if cfg.Poll == 0 {
-		cfg.Poll = 20 * time.Millisecond
 	}
 	if cfg.Client.MaxAttempts == 0 {
 		cfg.Client.MaxAttempts = 2
@@ -152,7 +161,10 @@ func singleDaemonJournal(t *testing.T, spec server.JobSpec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err = cli.Wait(ctx, st.ID, 20*time.Millisecond); err != nil {
+	if _, err = cli.Results(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = cli.Job(ctx, st.ID); err != nil {
 		t.Fatal(err)
 	}
 	if st.Status != server.StatusDone {
@@ -416,8 +428,8 @@ func TestKeepJournalsEvictsCompactedJournals(t *testing.T) {
 		t.Fatalf("journal of most recent job should be kept: %v", err)
 	}
 	// Evicted jobs stay queryable through the compacted index.
-	if cells := c.rstore.query(ResultFilter{Job: ids[0]}); len(cells) != 1 {
-		t.Fatalf("evicted job has %d summaries, want 1", len(cells))
+	if cells, err := c.rstore.query(ResultFilter{Job: ids[0]}); err != nil || len(cells) != 1 {
+		t.Fatalf("evicted job has %d summaries (err %v), want 1", len(cells), err)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -111,13 +113,45 @@ func TestHealthBrownoutAndHalfOpenProbe(t *testing.T) {
 // every job submission. The sweep must complete byte-identical to a
 // single-daemon run on the healthy worker alone, while the erroring
 // worker is browned out of dispatch and visibly so in the fleet export.
+//
+// A healthy worker that streams a range back faster than the next range
+// is dispatched would take every range, so the erroring worker would be
+// tried only once. The first results stream on the healthy worker is
+// therefore held until the erroring worker has refused two range
+// submissions: with that range outstanding, least-loaded dispatch must
+// pick the erroring worker for a second range.
 func TestErroringWorkerBrownsOutWithoutFailingSweep(t *testing.T) {
 	spec := testSpec(12)
 	ref := singleDaemonJournal(t, spec)
 
-	_, good := newWorker(t, nil)
+	var (
+		mu      sync.Mutex
+		refused = map[string]bool{} // idempotency keys: one per range attempt
+		twice   = make(chan struct{})
+		held    atomic.Bool
+	)
+	_, good := newWrappedWorker(t, nil, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/results") && held.CompareAndSwap(false, true) {
+				select {
+				case <-twice:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
 	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/jobs") {
+			mu.Lock()
+			if key := r.Header.Get("Idempotency-Key"); !refused[key] {
+				refused[key] = true
+				if len(refused) == 2 {
+					close(twice)
+				}
+			}
+			mu.Unlock()
 			http.Error(w, `{"error":"disk on fire"}`, http.StatusInternalServerError)
 			return
 		}

@@ -130,6 +130,9 @@ func Run(e *core.Engine, opts Options) *Result {
 // channel select per 64 engine steps.
 const cancelCheckMask = 63
 
+// maxPresize caps the series presize at 16k points (128 KB per series).
+const maxPresize = 1 << 14
+
 // RunContext executes the engine for opts.Horizon steps, stopping early
 // when ctx is cancelled or its deadline passes. A cancelled run returns
 // the partial Result accumulated so far with an Inconclusive verdict —
@@ -145,7 +148,16 @@ func RunContext(ctx context.Context, e *core.Engine, opts Options) *Result {
 	if stride <= 0 {
 		stride = 1
 	}
-	res := &Result{Series: Series{Stride: stride}}
+	// Presize the recorded series: one point per stride, capped because
+	// Horizon is caller-chosen and may be far longer than any run will
+	// actually last (a cancelled or deadline-bound job).
+	n := int(min((opts.Horizon+stride-1)/stride, maxPresize))
+	res := &Result{Series: Series{
+		Stride:    stride,
+		Potential: make([]float64, 0, n),
+		Queued:    make([]float64, 0, n),
+		MaxQ:      make([]float64, 0, n),
+	}}
 	var profile []float64
 	if opts.RecordProfile {
 		profile = make([]float64, len(e.Q))
@@ -154,6 +166,10 @@ func RunContext(ctx context.Context, e *core.Engine, opts Options) *Result {
 	cancelled := false
 	steps := int64(0)
 	prevP := core.Potential(e.Q)
+	// st lives outside the loop: observers receive &st, which moves it
+	// to the heap, and one allocation per run beats one per step. The
+	// StepObserver contract already limits st to the call.
+	var st core.StepStats
 	for i := int64(0); i < opts.Horizon; i++ {
 		if done != nil && i&cancelCheckMask == 0 {
 			select {
@@ -165,7 +181,7 @@ func RunContext(ctx context.Context, e *core.Engine, opts Options) *Result {
 				break
 			}
 		}
-		st := e.Step()
+		st = e.Step()
 		steps++
 		res.Totals.Add(st)
 		for _, o := range opts.Observers {

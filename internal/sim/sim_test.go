@@ -26,6 +26,23 @@ func TestRunStableLine(t *testing.T) {
 	}
 }
 
+// TestRunAllocsIndependentOfHorizon holds RunContext to a fixed
+// allocation count per run: the step stats are not re-allocated per
+// step and the series are presized instead of grown by doubling.
+func TestRunAllocsIndependentOfHorizon(t *testing.T) {
+	obs := core.ObserverFunc(func(int64, *core.Snapshot, *core.StepStats) {})
+	allocs := func(horizon int64) float64 {
+		e := core.NewEngine(lineSpec(3, 1, 1), core.NewLGG())
+		return testing.AllocsPerRun(5, func() {
+			Run(e, Options{Horizon: horizon, Observers: []core.StepObserver{obs}})
+		})
+	}
+	short, long := allocs(1000), allocs(4000)
+	if short != long {
+		t.Fatalf("Run allocates %v times at horizon 1000 but %v at 4000", short, long)
+	}
+}
+
 func TestRunDivergingLine(t *testing.T) {
 	e := core.NewEngine(lineSpec(4, 3, 3), core.NewLGG())
 	r := Run(e, Options{Horizon: 400})
