@@ -203,7 +203,7 @@ func (c *Coordinator) promote() {
 	c.gStandby.Set(0)
 	c.cFailovers.Inc()
 	c.standby = false
-	c.reignc = make(chan struct{})
+	c.reign, c.endReign = context.WithCancelCause(context.Background())
 	var requeued []server.JobState
 	for _, id := range c.order {
 		jb := c.jobs[id]
@@ -279,7 +279,7 @@ func (c *Coordinator) guardLoop() {
 
 // demote steps an acting primary back down to standby after the guard
 // loop found a better claimant: admission flips to the standby refusal,
-// the dispatchers retire (reignc), the dispatch queue is rebuilt empty,
+// the dispatchers retire (reign), the dispatch queue is rebuilt empty,
 // and every running job is checkpointed with errDemote — journals keep
 // their merged prefix and worker-side range jobs keep running, to be
 // re-attached by idempotency key (by the winner now, by us if we are
@@ -297,28 +297,14 @@ func (c *Coordinator) demote(winner string, st server.CoordStatus) {
 		c.maxSeenEpoch = st.Epoch
 	}
 	myEpoch := c.epoch
-	close(c.reignc)
+	c.endReign(errDemote)
 	// A fresh queue, not a drained one: every queued job's state is
 	// already durable and mirrored by the winner; local dispatch simply
 	// stops claiming it. release() guards against underflow, so quota
 	// refunds from still-finishing jobs stay safe against the rebuild.
 	c.queue = newTenantQueue(c.cfg.TenantQuota, c.cfg.QueueDepth)
 	c.gQueue.Set(0)
-	running := make([]*cjob, 0, len(c.order))
-	for _, id := range c.order {
-		running = append(running, c.jobs[id])
-	}
 	c.mu.Unlock()
-
-	for _, jb := range running {
-		jb.mu.Lock()
-		cancel := jb.cancel
-		active := jb.st.Status == server.StatusRunning
-		jb.mu.Unlock()
-		if active && cancel != nil {
-			cancel(errDemote)
-		}
-	}
 	c.cfg.Logf("lggfed: %s claims primary at epoch %d rank %d, ahead of our epoch %d rank %d; stepping down to standby",
 		winner, st.Epoch, st.Rank, myEpoch, c.cfg.Rank)
 	c.wg.Add(1)

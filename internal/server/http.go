@@ -144,8 +144,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleResults streams a job's sweep journal as JSONL (the header line
 // is stripped; each line is one sweep.Result). For a live job the stream
 // follows the journal — results appear as runs finish — and ends when
-// the job reaches a terminal state. The stream also ends, possibly
-// mid-job, if the client disconnects or the daemon drains.
+// the job reaches a terminal state. It ends mid-job only if the client
+// disconnects or a drain checkpoints the job.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	s.cHTTP.Inc()
 	id := r.PathValue("id")
@@ -156,7 +156,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	StreamJournal(w, r, s.ledger.JournalPath(id), jb.terminal, jb.doneCh, s.stopc)
+	StreamJournal(w, r, s.ledger.JournalPath(id), jb.terminal, jb.doneCh, s.haltc)
 }
 
 // lineFramer reassembles whole journal lines from arbitrary read
@@ -198,8 +198,9 @@ func (l *lineFramer) feed(chunk []byte, emit func(line []byte) error) (wrote boo
 // remaining line is relayed verbatim as it lands on disk, and the
 // stream ends once terminal() reports true and the file is drained.
 // done wakes the follower when the job completes (so the final lines
-// are relayed without waiting out a poll interval); stop aborts the
-// stream mid-job (daemon drain), as does the client disconnecting.
+// are relayed without waiting out a poll interval); stop, closed once a
+// drain has stopped executing jobs, ends the stream of a job that is
+// still not terminal, as does the client disconnecting.
 // A missing journal is waited for while the job is live and served as
 // an empty complete stream if the job went terminal without producing
 // one. Both the single daemon and the federation coordinator serve
@@ -250,7 +251,9 @@ func StreamJournal(w http.ResponseWriter, r *http.Request, path string, terminal
 			case <-done:
 				// Loop once more to drain anything the final flush wrote.
 			case <-stop:
-				return
+				if !terminal() {
+					return
+				}
 			case <-r.Context().Done():
 				return
 			case <-time.After(50 * time.Millisecond):
@@ -277,7 +280,9 @@ func waitForJournal(r *http.Request, path string, terminal func() bool, done, st
 		select {
 		case <-done:
 		case <-stop:
-			return nil, errors.New("server draining before the job produced results")
+			if !terminal() {
+				return nil, errors.New("server drained before the job produced results")
+			}
 		case <-r.Context().Done():
 			return nil, r.Context().Err()
 		case <-time.After(50 * time.Millisecond):
