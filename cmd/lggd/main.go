@@ -20,8 +20,8 @@
 // With -coordinator the process is instead a federation coordinator: it
 // serves the same job API but executes nothing itself, sharding each job
 // by run-index range across a fleet of ordinary lggd workers (seeded
-// with -fleet, grown at runtime via POST /v1/fleet/join or peer gossip
-// with -peers) and k-way merging their journals into results
+// with -fleet, grown at runtime via POST /v1/fleet/join) and k-way
+// merging their journals into results
 // byte-identical to a single daemon's. Straggler leases adapt to each
 // worker's measured service rate (-lease is just the ceiling), erroring
 // workers are browned out and drained instead of fed more ranges, and
@@ -31,7 +31,8 @@
 // summaries at GET /v1/results. A worker started with -join (one or
 // more coordinator URLs, comma-separated) registers itself and
 // re-registers on a jittered cadence, so a restarted coordinator
-// re-learns its fleet without a thundering herd.
+// re-learns its fleet without a thundering herd; a worker serving
+// several coordinators lists them all in -join.
 //
 // With -coordinator -standby -primary http://coord:8321 the process is
 // a warm standby: it refuses submissions (503 + Retry-After), tails the
@@ -48,8 +49,8 @@
 // itself instead of split-brain dispatching.
 //
 // -chaos arms a deterministic fault injector over every outbound HTTP
-// call the process makes (worker dispatch, heartbeat polls, gossip,
-// fleet joins): a seeded schedule of latency spikes, connection resets,
+// call the process makes (worker dispatch, heartbeat polls, fleet
+// joins): a seeded schedule of latency spikes, connection resets,
 // blackholes, 5xx bursts, slow-loris stalls and asymmetric partitions,
 // replayed byte-identically from -chaos-seed. -chaos-transcript writes
 // the injected-event log on clean exit. See internal/chaos.
@@ -60,9 +61,9 @@
 //	     [-sweep-workers 0] [-retries 0] [-drain-grace 30s]
 //	     [-join http://coord:8321,http://coord2:8321] [-advertise http://me:8321]
 //	     [-capacity 12.5]
-//	lggd -coordinator [-fleet url1,url2] [-peers http://coord2:8321]
-//	     [-range-runs 8] [-lease 60s] [-tenant-quota 4] [-keep-journals 0]
-//	     [-suspect-after 75s] [-dead-after 150s] [-retry-budget 0] [...]
+//	lggd -coordinator [-fleet url1,url2] [-range-runs 8] [-lease 60s]
+//	     [-tenant-quota 4] [-keep-journals 0] [-suspect-after 75s]
+//	     [-dead-after 150s] [-retry-budget 0] [...]
 //	lggd -coordinator -standby -primary http://coord:8321 [-rank 1]
 //	     [-watch http://rank1:8321] [-heartbeat 1s] [-failover-after 5s] [...]
 //	lggd ... -chaos 'reset@0-8:p=0.5;latency@0-64:ms=5' -chaos-seed 42
@@ -110,7 +111,6 @@ func main() {
 
 		coordinator  = flag.Bool("coordinator", false, "run as a federation coordinator: shard jobs across a worker fleet instead of executing them")
 		fleetArg     = flag.String("fleet", "", "coordinator: comma-separated worker base URLs seeding the fleet")
-		peersArg     = flag.String("peers", "", "coordinator: comma-separated peer coordinator URLs to gossip fleet membership with")
 		rangeRuns    = flag.Int("range-runs", 8, "coordinator: runs per range handed to one worker")
 		lease        = flag.Duration("lease", 60*time.Second, "coordinator: straggler-lease ceiling; actual leases adapt to each worker's measured service rate")
 		tenantQuota  = flag.Int("tenant-quota", 4, "coordinator: max live (queued+running) jobs per tenant; negative = unlimited")
@@ -142,7 +142,7 @@ func main() {
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 
 	if *coordinator && *join != "" {
-		log.Fatalf("lggd: -join is a worker flag; a coordinator's fleet comes from -fleet, -peers and /v1/fleet/join")
+		log.Fatalf("lggd: -join is a worker flag; a coordinator's fleet comes from -fleet and /v1/fleet/join")
 	}
 	if *standby && !*coordinator {
 		log.Fatalf("lggd: -standby requires -coordinator")
@@ -159,7 +159,7 @@ func main() {
 
 	// The chaos injector, when configured, owns every outbound HTTP call
 	// this process makes — a coordinator's worker dispatch, a standby's
-	// heartbeat polls, peer gossip, and a worker's fleet joins all share
+	// heartbeat polls and a worker's fleet joins all share
 	// it, so one seeded schedule is one reproducible adversary for the
 	// whole process. A nil injector leaves every path untouched.
 	var injector *chaos.Injector
@@ -198,7 +198,6 @@ func main() {
 		coord, err := federation.New(federation.Config{
 			StateDir:      *state,
 			Workers:       splitURLs(*fleetArg),
-			Peers:         splitURLs(*peersArg),
 			Jobs:          *jobs,
 			QueueDepth:    *queue,
 			TenantQuota:   *tenantQuota,

@@ -418,20 +418,6 @@ func (c *Client) Cancel(ctx context.Context, id string) (server.JobState, error)
 	return st, nil
 }
 
-// Fleet fetches a coordinator's live-worker view: each member's URL,
-// liveness state, age since last contact, and scheduling health.
-func (c *Client) Fleet(ctx context.Context) ([]server.FleetMember, error) {
-	raw, err := c.do(ctx, "GET", "/v1/fleet", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	var ms []server.FleetMember
-	if err := json.Unmarshal(raw, &ms); err != nil {
-		return nil, fmt.Errorf("client: decode fleet: %w", err)
-	}
-	return ms, nil
-}
-
 // CoordinatorStatus fetches a coordinator's heartbeat payload: epoch,
 // role, fleet view and full job list. Standby coordinators poll it to
 // mirror the primary and to detect its death.

@@ -27,13 +27,13 @@
 // view, and promotes itself after a missed-heartbeat window — re-queueing
 // every non-terminal job, whose merged output stays byte-identical to an
 // unfailed run because the worker-side idempotency keys are derived from
-// the job, not the coordinator. Fleet membership is gossip-maintained:
-// every worker contact refreshes a liveness age, coordinators anti-entropy
-// their views as age vectors (membership.go), and departed workers age
-// out through suspicion instead of holding leases. Dispatch is
-// health-aware: per-worker EWMA service rates drive adaptive straggler
-// leases, and a worker whose error share crosses a threshold is browned
-// out and drained instead of fed more ranges (health.go).
+// the job, not the coordinator. The fleet is one table with one record
+// per worker (fleet.go): every worker contact refreshes a liveness age,
+// standbys mirror those ages from the primary's heartbeat, and departed
+// workers age out through suspicion instead of holding leases. Dispatch
+// is health-aware: per-worker EWMA service rates drive adaptive
+// straggler leases, and a worker whose error share crosses a threshold
+// is browned out and drained instead of fed more ranges.
 //
 // On top, the coordinator adds the multi-tenant control the single
 // daemon deliberately lacks: per-tenant admission quotas and fair-share
@@ -49,7 +49,6 @@ import (
 	"math"
 	mrand "math/rand"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -69,7 +68,7 @@ type Config struct {
 	// matches a single daemon's state directory.
 	StateDir string
 	// Workers seeds the fleet with lggd base URLs; more join at runtime
-	// via POST /v1/fleet/join or peer gossip.
+	// via POST /v1/fleet/join (a standby also adopts the primary's).
 	Workers []string
 	// Jobs is the number of coordinator jobs sharded concurrently
 	// (default 2) — each one fans out to the whole fleet.
@@ -132,10 +131,6 @@ type Config struct {
 	// and a lower rank — demotes this one back to standby (no
 	// consensus; the rank order is the arbiter).
 	Watch []string
-	// Peers lists other coordinators to exchange fleet views with in
-	// jittered anti-entropy rounds every AntiEntropy, so coordinators
-	// converge on the same live-worker set without a shared seed list.
-	Peers []string
 	// Heartbeat is the standby's primary-poll cadence (default 1s).
 	Heartbeat time.Duration
 	// FailoverAfter is how long a standby tolerates failed heartbeats
@@ -148,13 +143,6 @@ type Config struct {
 	// DeadAfter removes a worker unheard from for this long
 	// (default 2×SuspectAfter).
 	DeadAfter time.Duration
-	// AntiEntropy is the peer-gossip cadence (default 2s).
-	AntiEntropy time.Duration
-	// JoinPingTimeout bounds the liveness probe run against a joining
-	// worker before it is admitted to the fleet, so a hung peer cannot
-	// block the join handler (default 2s). Also bounds the periodic
-	// liveness probes of stale members and peer gossip fetches.
-	JoinPingTimeout time.Duration
 	// Health tunes worker health scoring (EWMA rates, adaptive leases,
 	// brown-out); zero values take HealthConfig defaults.
 	Health HealthConfig
@@ -172,8 +160,8 @@ type Config struct {
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)
 	// Now and Rand are injectable for tests (defaults time.Now and
-	// math/rand.Float64). Rand jitters the gossip, heartbeat and
-	// membership cadences.
+	// math/rand.Float64). Rand jitters the heartbeat and membership
+	// cadences.
 	Now  func() time.Time
 	Rand func() float64
 }
@@ -228,23 +216,14 @@ func (j *cjob) terminal() bool {
 	return j.st.Status.Terminal()
 }
 
-// worker is one fleet member's client handle. Liveness lives in the
-// membership table, scheduling health in the health board — both keyed
-// by URL.
-type worker struct {
-	url string
-	cli *client.Client
-}
-
 // Coordinator shards sweep jobs across a fleet of lggd daemons.
 // Construct with New, serve its Handler, stop with Drain.
 type Coordinator struct {
-	cfg     Config
-	ledger  *server.Ledger
-	reg     *metrics.Registry
-	rstore  *resultStore
-	members *membership
-	health  *healthBoard
+	cfg    Config
+	ledger *server.Ledger
+	reg    *metrics.Registry
+	rstore *resultStore
+	fleet  *fleet
 
 	upstreams []*upstream // the failover chain this coordinator monitors
 
@@ -253,10 +232,6 @@ type Coordinator struct {
 	order        []string
 	keys         map[string]string // idempotency key → job id
 	queue        *tenantQueue
-	workers      map[string]*worker
-	outstanding  map[string]int  // live range attempts per worker URL
-	probing      map[string]bool // urls with an in-flight liveness probe
-	rrWorker     int             // round-robin cursor for range placement
 	nextID       int
 	draining     bool
 	standby      bool
@@ -339,12 +314,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.DeadAfter <= 0 {
 		cfg.DeadAfter = 2 * cfg.SuspectAfter
 	}
-	if cfg.AntiEntropy <= 0 {
-		cfg.AntiEntropy = 2 * time.Second
-	}
-	if cfg.JoinPingTimeout <= 0 {
-		cfg.JoinPingTimeout = 2 * time.Second
-	}
 	if cfg.ReapAttempts <= 0 {
 		cfg.ReapAttempts = 4
 	}
@@ -376,21 +345,17 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		cfg:         cfg,
-		ledger:      ledger,
-		reg:         cfg.Registry,
-		rstore:      rstore,
-		members:     newMembership(cfg.SuspectAfter, cfg.DeadAfter, cfg.Now),
-		health:      newHealthBoard(cfg.Health, cfg.Lease, cfg.Now),
-		jobs:        make(map[string]*cjob),
-		keys:        make(map[string]string),
-		queue:       newTenantQueue(cfg.TenantQuota, cfg.QueueDepth),
-		workers:     make(map[string]*worker),
-		outstanding: make(map[string]int),
-		probing:     make(map[string]bool),
-		wake:        make(chan struct{}, 1),
-		stopc:       make(chan struct{}),
-		haltc:       make(chan struct{}),
+		cfg:    cfg,
+		ledger: ledger,
+		reg:    cfg.Registry,
+		rstore: rstore,
+		fleet:  newFleet(cfg),
+		jobs:   make(map[string]*cjob),
+		keys:   make(map[string]string),
+		queue:  newTenantQueue(cfg.TenantQuota, cfg.QueueDepth),
+		wake:   make(chan struct{}, 1),
+		stopc:  make(chan struct{}),
+		haltc:  make(chan struct{}),
 	}
 	c.gQueue = c.reg.Gauge(MetricQueued, "Jobs waiting in the coordinator queue.")
 	c.gInflight = c.reg.Gauge(MetricInflight, "Coordinator jobs currently sharded across the fleet.")
@@ -414,7 +379,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c.cReapFail = c.reg.Counter(MetricReapFailures, "Abandoned worker jobs the reaper gave up cancelling.")
 
 	for _, url := range cfg.Workers {
-		if err := c.addWorker(url, false); err != nil {
+		if err := c.join(url, 0); err != nil {
 			ledger.Close()
 			return nil, err
 		}
@@ -494,23 +459,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c.wg.Add(1)
 	go c.membershipLoop()
-	if len(cfg.Peers) > 0 {
-		peers := make([]*client.Client, 0, len(cfg.Peers))
-		for _, url := range cfg.Peers {
-			pcfg := cfg.Client
-			pcfg.BaseURL = url
-			pcfg.MaxAttempts = 1 // anti-entropy rounds are the retry policy
-			pcli, err := client.New(pcfg)
-			if err != nil {
-				rstore.close()
-				ledger.Close()
-				return nil, fmt.Errorf("federation: peer %s: %w", url, err)
-			}
-			peers = append(peers, pcli)
-		}
-		c.wg.Add(1)
-		go c.gossipLoop(peers)
-	}
 	return c, nil
 }
 
@@ -530,94 +478,25 @@ func (c *Coordinator) jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(c.cfg.Rand()*float64(d))
 }
 
-// addWorker connects a worker URL to the fleet and refreshes its
-// membership age. ping validates the worker's liveness first — through
-// a single-attempt client bounded by JoinPingTimeout, so a hung peer
-// cannot block the join handler (seed workers are added unpinged so the
-// coordinator can start ahead of its fleet).
-func (c *Coordinator) addWorker(url string, ping bool) error {
-	ccfg := c.cfg.Client
-	ccfg.BaseURL = url
-	cli, err := client.New(ccfg)
+// join admits url to the fleet, or refreshes it, with its declared
+// capacity. Seed workers join unpinged so the coordinator can start
+// ahead of its fleet; the join handler pings first.
+func (c *Coordinator) join(url string, capacity float64) error {
+	added, size, err := c.fleet.join(url, capacity)
 	if err != nil {
-		return fmt.Errorf("federation: worker %s: %w", url, err)
+		return err
 	}
-	if ping {
-		pcfg := c.cfg.Client
-		pcfg.BaseURL = url
-		pcfg.MaxAttempts = 1
-		if pcfg.HTTP == nil {
-			pcfg.HTTP = &http.Client{Timeout: c.cfg.JoinPingTimeout}
-		}
-		pcli, err := client.New(pcfg)
-		if err != nil {
-			return fmt.Errorf("federation: worker %s: %w", url, err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.JoinPingTimeout)
-		defer cancel()
-		if err := pcli.Ping(ctx); err != nil {
-			return fmt.Errorf("federation: worker %s failed liveness: %w", url, err)
-		}
+	if added {
+		c.cfg.Logf("lggfed: worker %s joined (fleet size %d)", url, size)
 	}
-	c.mu.Lock()
-	_, known := c.workers[url]
-	if !known {
-		c.workers[url] = &worker{url: url, cli: cli}
-	}
-	c.mu.Unlock()
-	if c.members.observe(url) {
-		c.cfg.Logf("lggfed: worker %s joined (fleet size %d)", url, c.members.size())
-	}
-	c.gFleet.Set(int64(c.members.size()))
+	c.gFleet.Set(int64(size))
 	return nil
-}
-
-// ensureWorker builds a client handle for a gossip-learned URL without
-// refreshing its membership age (the caller already merged the peer's
-// age claim; claiming direct contact would forge freshness).
-func (c *Coordinator) ensureWorker(url string) {
-	ccfg := c.cfg.Client
-	ccfg.BaseURL = url
-	cli, err := client.New(ccfg)
-	if err != nil {
-		c.cfg.Logf("lggfed: gossip worker %s: %v", url, err)
-		return
-	}
-	c.mu.Lock()
-	if _, ok := c.workers[url]; !ok {
-		c.workers[url] = &worker{url: url, cli: cli}
-		c.cfg.Logf("lggfed: worker %s joined via gossip (fleet size %d)", url, c.members.size())
-	}
-	c.mu.Unlock()
-	c.gFleet.Set(int64(c.members.size()))
-}
-
-// Fleet lists the current worker URLs in join order.
-func (c *Coordinator) Fleet() []string {
-	rows := c.members.view()
-	out := make([]string, len(rows))
-	for i, row := range rows {
-		out[i] = row.url
-	}
-	return out
 }
 
 // FleetMembers is the live-worker view served at GET /v1/fleet: each
 // member's liveness state, age since last contact, and scheduling
 // health.
-func (c *Coordinator) FleetMembers() []server.FleetMember {
-	rows := c.members.view()
-	out := make([]server.FleetMember, 0, len(rows))
-	for _, row := range rows {
-		out = append(out, server.FleetMember{
-			URL:    row.url,
-			State:  row.state,
-			AgeMS:  row.age.Milliseconds(),
-			Health: c.health.snapshot(row.url, c.cfg.RangeRuns),
-		})
-	}
-	return out
-}
+func (c *Coordinator) FleetMembers() []server.FleetMember { return c.fleet.view() }
 
 // Status is the heartbeat payload served at GET /v1/coordinator/status.
 func (c *Coordinator) Status() server.CoordStatus {
@@ -637,93 +516,6 @@ func (c *Coordinator) Standby() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.standby
-}
-
-// nextWorker picks a worker for one range attempt, preferring — in
-// order — an alive, healthy worker not in exclude; then any non-excluded
-// worker; then anyone at all (a degraded fleet still beats abandoning
-// the range). Among the healthy (first-pass) candidates placement is
-// capacity-weighted least-loaded: each candidate is scored by its live
-// attempt count divided by its effective service rate
-// (max of declared capacity and observed EWMA), so a worker that
-// declares — or demonstrates — twice the throughput absorbs twice the
-// outstanding ranges before a peer is preferred. Rate-less fleets
-// degenerate to the plain least-loaded round-robin. The chosen worker's
-// outstanding count is incremented here; the caller releases it via
-// releaseWorker when the attempt resolves.
-func (c *Coordinator) nextWorker(exclude map[string]bool) *worker {
-	rows := c.members.view()
-	n := len(rows)
-	if n == 0 {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Pass 0: alive, non-excluded workers ordered by load per unit of
-	// capacity (round-robin position breaks ties, preserving rotation).
-	type candidate struct {
-		w    *worker
-		url  string
-		load float64
-		ord  int
-	}
-	var cands []candidate
-	for i := 0; i < n; i++ {
-		row := rows[(c.rrWorker+i)%n]
-		w := c.workers[row.url]
-		if w == nil || exclude[row.url] || row.state != stateAlive {
-			continue
-		}
-		weight := c.health.effectiveRate(row.url)
-		if weight <= 0 {
-			weight = 1
-		}
-		cands = append(cands, candidate{w: w, url: row.url, load: float64(c.outstanding[row.url]) / weight, ord: i})
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].load != cands[b].load {
-			return cands[a].load < cands[b].load
-		}
-		return cands[a].ord < cands[b].ord
-	})
-	for _, cd := range cands {
-		// health.available claims the half-open probe slot of a
-		// cooled-down brown-out, so it must run only on a worker we
-		// will actually use — it is the last check.
-		if c.health.available(cd.url) {
-			c.rrWorker = (c.rrWorker + cd.ord + 1) % n
-			c.outstanding[cd.url]++
-			return cd.w
-		}
-	}
-	for pass := 1; pass < 3; pass++ {
-		for i := 0; i < n; i++ {
-			row := rows[(c.rrWorker+i)%n]
-			w := c.workers[row.url]
-			if w == nil {
-				continue
-			}
-			if pass < 2 && exclude[row.url] {
-				continue
-			}
-			c.rrWorker = (c.rrWorker + i + 1) % n
-			c.outstanding[row.url]++
-			return w
-		}
-	}
-	return nil
-}
-
-// releaseWorker retires one live range attempt from url's outstanding
-// count (the capacity-weighted dispatch denominator).
-func (c *Coordinator) releaseWorker(url string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.outstanding[url] <= 1 {
-		delete(c.outstanding, url)
-	} else {
-		c.outstanding[url]--
-	}
 }
 
 // Admit validates and enqueues a job, mirroring the single daemon's
@@ -790,12 +582,15 @@ func (c *Coordinator) Admit(spec server.JobSpec, key string) (server.JobState, b
 	}
 	c.queue.push(spec.Tenant, jb)
 	c.gQueue.Set(int64(c.queue.pending()))
+	// Copied under c.mu: once it is released a dispatcher may already
+	// have moved the job on.
+	st := jb.st
 	c.mu.Unlock()
 	select {
 	case c.wake <- struct{}{}:
 	default:
 	}
-	return jb.state(), true, nil
+	return st, true, nil
 }
 
 // retryAfterLocked derives the Retry-After hint from queue pressure and
@@ -1055,7 +850,7 @@ func (c *Coordinator) executeJob(reign context.Context, jb *cjob) {
 		jobKey = spec.IdempotencyKey
 	}
 
-	width := c.members.size()
+	width := c.fleet.size()
 	if width < 1 {
 		width = 1
 	}
@@ -1166,7 +961,7 @@ func (c *Coordinator) runRange(ctx context.Context, spec server.JobSpec, jobKey 
 	rctx, rcancel := context.WithCancel(ctx)
 	defer rcancel() // losers stop streaming once a winner returns
 
-	fleetSize := c.members.size()
+	fleetSize := c.fleet.size()
 	if fleetSize == 0 {
 		return nil, fmt.Errorf("federation: no workers in the fleet")
 	}
@@ -1186,7 +981,7 @@ func (c *Coordinator) runRange(ctx context.Context, spec server.JobSpec, jobKey 
 	// launch starts one more attempt and returns the chosen worker's
 	// adaptive lease (0 when no worker was found).
 	launch := func() time.Duration {
-		w := c.nextWorker(tried)
+		w, lease := c.fleet.pick(tried, rg.count)
 		if w == nil {
 			return 0
 		}
@@ -1200,10 +995,10 @@ func (c *Coordinator) runRange(ctx context.Context, spec server.JobSpec, jobKey 
 			// Released here, not in the channel reader: an abandoned
 			// attempt's goroutine outlives the range, and its slot must
 			// count against the worker's capacity until it resolves.
-			c.releaseWorker(w.url)
+			c.fleet.release(w.url)
 			outcome <- rangeOutcome{rs: rs, err: err, url: w.url, dur: time.Since(began)}
 		}()
-		return c.health.lease(w.url, rg.count)
+		return lease
 	}
 	leaseDur := launch()
 	if leaseDur <= 0 {
@@ -1218,15 +1013,14 @@ func (c *Coordinator) runRange(ctx context.Context, spec server.JobSpec, jobKey 
 			live--
 			liveOn[o.url]--
 			if o.err == nil {
-				c.health.success(o.url, rg.count, o.dur)
-				c.members.observe(o.url)
+				c.fleet.success(o.url, rg.count, o.dur)
 				return o.rs, nil
 			}
 			lastErr = fmt.Errorf("range %d+%d on %s: %w", rg.start, rg.count, o.url, o.err)
 			if rctx.Err() != nil {
 				return nil, lastErr
 			}
-			c.health.failure(o.url)
+			c.fleet.failure(o.url)
 			c.cfg.Logf("lggfed: %v", lastErr)
 			if attempts >= maxAttempts {
 				if live == 0 {
@@ -1241,7 +1035,7 @@ func (c *Coordinator) runRange(ctx context.Context, spec server.JobSpec, jobKey 
 			}
 		case <-lease.C:
 			next := c.cfg.Lease
-			if live < c.cfg.StealMax+c.stuckAttempts(liveOn) && attempts < maxAttempts {
+			if live < c.cfg.StealMax+c.fleet.stuck(liveOn) && attempts < maxAttempts {
 				c.cStolen.Inc()
 				c.cfg.Logf("lggfed: range %d+%d past its lease, re-leasing", rg.start, rg.count)
 				if d := launch(); d > 0 {
@@ -1253,19 +1047,6 @@ func (c *Coordinator) runRange(ctx context.Context, spec server.JobSpec, jobKey 
 			return nil, rctx.Err()
 		}
 	}
-}
-
-// stuckAttempts counts live attempts held by workers that are currently
-// suspect or browned out; runRange widens the steal budget by this much
-// so a dying worker's lease cannot exclude healthy replacements.
-func (c *Coordinator) stuckAttempts(liveOn map[string]int) int {
-	extra := 0
-	for url, n := range liveOn {
-		if n > 0 && (c.members.suspected(url) || c.health.unhealthyNow(url)) {
-			extra += n
-		}
-	}
-	return extra
 }
 
 // attemptRange runs one shard on one worker: submit the range job
@@ -1353,11 +1134,9 @@ func (c *Coordinator) reap(w *worker, workerJob string) {
 		workerJob, w.url, c.cfg.ReapAttempts, lastErr)
 }
 
-// membershipLoop ages the fleet: stale members get an active liveness
-// probe (statically seeded workers never re-join, so without probing a
-// healthy fleet would silently age out), members past DeadAfter are
-// removed, and the fleet gauges — including the per-worker health
-// export — are refreshed.
+// membershipLoop ages the fleet: each jittered round sweeps the dead,
+// pings the stale (fleet.sweep) and refreshes the fleet gauges,
+// including the per-worker health export.
 func (c *Coordinator) membershipLoop() {
 	defer c.wg.Done()
 	tick := c.cfg.SuspectAfter / 8
@@ -1378,96 +1157,47 @@ func (c *Coordinator) membershipLoop() {
 }
 
 func (c *Coordinator) membershipRound() {
-	for _, url := range c.members.stale(c.cfg.SuspectAfter / 2) {
-		c.mu.Lock()
-		w := c.workers[url]
-		busy := c.probing[url]
-		if w != nil && !busy {
-			c.probing[url] = true
-		}
-		c.mu.Unlock()
-		if w == nil || busy {
-			continue
-		}
-		go func(url string, w *worker) {
-			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.JoinPingTimeout)
-			err := w.cli.Ping(ctx)
-			cancel()
-			if err == nil {
-				c.members.observe(url)
-			}
-			c.mu.Lock()
-			delete(c.probing, url)
-			c.mu.Unlock()
-		}(url, w)
-	}
-	for _, url := range c.members.sweepDead() {
-		c.mu.Lock()
-		delete(c.workers, url)
-		c.mu.Unlock()
-		c.health.forget(url)
+	dead, ping := c.fleet.sweep()
+	for _, url := range dead {
 		c.cfg.Logf("lggfed: worker %s unheard from for %v, aged out of the fleet", url, c.cfg.DeadAfter)
 	}
-	c.updateFleetMetrics()
-}
-
-// gossipLoop anti-entropies fleet views with peer coordinators: each
-// jittered round fetches every peer's /v1/fleet and merges it (ages
-// only ever advance freshness, and peer-dead members are not
-// resurrected), so coordinators converge on the same worker set without
-// a shared seed list.
-func (c *Coordinator) gossipLoop(peers []*client.Client) {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-c.stopc:
-			return
-		case <-time.After(c.jitter(c.cfg.AntiEntropy)):
-		}
-		for _, p := range peers {
-			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.JoinPingTimeout)
-			ms, err := p.Fleet(ctx)
+	for _, w := range ping {
+		go func(w *worker) {
+			ctx, cancel := context.WithTimeout(context.Background(), pingTimeout)
+			err := w.cli.Ping(ctx)
 			cancel()
-			if err != nil {
-				continue // peer down or not yet up; next round
-			}
-			for _, url := range c.members.merge(ms) {
-				c.ensureWorker(url)
-			}
-		}
-		c.updateFleetMetrics()
+			c.fleet.pinged(w.url, err == nil)
+		}(w)
 	}
+	c.updateFleetMetrics()
 }
 
 // updateFleetMetrics refreshes the fleet gauges, including one gauge
 // set per worker (suffixed with the sanitised worker address) so
 // brown-outs and adaptive leases are observable per worker.
 func (c *Coordinator) updateFleetMetrics() {
-	rows := c.members.view()
-	c.gFleet.Set(int64(len(rows)))
-	suspect := 0
-	for _, row := range rows {
-		if row.state == stateSuspect {
+	view := c.fleet.view()
+	c.gFleet.Set(int64(len(view)))
+	var suspect, browned int64
+	for _, m := range view {
+		sfx := metricSuffix(m.URL)
+		state, brown := int64(1), int64(0)
+		if m.State != stateAlive {
+			state = 0
 			suspect++
 		}
-		h := c.health.snapshot(row.url, c.cfg.RangeRuns)
-		sfx := metricSuffix(row.url)
-		state := int64(1)
-		if row.state != stateAlive {
-			state = 0
+		if m.Health.BrownedOut {
+			brown = 1
+			browned++
 		}
 		c.reg.Gauge("lggfed_worker_state_"+sfx, "Worker liveness (1 alive, 0 suspect).").Set(state)
-		brown := int64(0)
-		if h.BrownedOut {
-			brown = 1
-		}
 		c.reg.Gauge("lggfed_worker_browned_out_"+sfx, "Worker brown-out (1 browned out).").Set(brown)
-		c.reg.Gauge("lggfed_worker_milli_runs_per_sec_"+sfx, "EWMA service rate in milli-runs per second.").Set(int64(h.EWMARunsPerSec * 1000))
-		c.reg.Gauge("lggfed_worker_failures_"+sfx, "Failed range attempts on this worker.").Set(h.Failures)
-		c.reg.Gauge("lggfed_worker_lease_ms_"+sfx, "Adaptive straggler lease in milliseconds.").Set(h.LeaseMS)
+		c.reg.Gauge("lggfed_worker_milli_runs_per_sec_"+sfx, "EWMA service rate in milli-runs per second.").Set(int64(m.Health.EWMARunsPerSec * 1000))
+		c.reg.Gauge("lggfed_worker_failures_"+sfx, "Failed range attempts on this worker.").Set(m.Health.Failures)
+		c.reg.Gauge("lggfed_worker_lease_ms_"+sfx, "Adaptive straggler lease in milliseconds.").Set(m.Health.LeaseMS)
 	}
-	c.gSuspect.Set(int64(suspect))
-	c.gBrowned.Set(int64(c.health.brownedOut()))
+	c.gSuspect.Set(suspect)
+	c.gBrowned.Set(browned)
 }
 
 // metricSuffix folds a worker URL into the Prometheus name charset:

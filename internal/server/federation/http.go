@@ -2,6 +2,7 @@ package federation
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"strconv"
 
 	"repro/internal/server"
+	"repro/internal/server/client"
 )
 
 // Handler returns the coordinator's HTTP API. The job surface is
@@ -166,10 +168,10 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 type joinRequest struct {
 	URL string `json:"url"`
 	// Capacity is the worker's self-declared service rate in runs per
-	// second (optional; 0 = undeclared). Dispatch weights the worker by
-	// max(declared, observed EWMA), so the hint shapes placement before
-	// the first range completes but never overrides observation
-	// downward.
+	// second (optional; 0 = undeclared, and clears an earlier hint).
+	// Dispatch weights the worker by max(declared, observed EWMA), so
+	// the hint shapes placement before the first range completes but
+	// never overrides observation downward.
 	Capacity float64 `json:"capacity_runs_per_sec,omitempty"`
 }
 
@@ -191,14 +193,31 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "join: capacity_runs_per_sec must be non-negative")
 		return
 	}
-	if err := c.addWorker(req.URL, true); err != nil {
+	// The worker must answer a liveness ping first, through a
+	// single-attempt client bounded by pingTimeout so a hung worker
+	// cannot block the handler.
+	pcfg := c.cfg.Client
+	pcfg.BaseURL, pcfg.MaxAttempts = req.URL, 1
+	if pcfg.HTTP == nil {
+		pcfg.HTTP = &http.Client{Timeout: pingTimeout}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), pingTimeout)
+	defer cancel()
+	pcli, err := client.New(pcfg)
+	if err == nil {
+		err = pcli.Ping(ctx)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadGateway, "federation: worker %s failed liveness: %v", req.URL, err)
+		return
+	}
+	if err := c.join(req.URL, req.Capacity); err != nil {
 		writeError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	c.health.declare(req.URL, req.Capacity)
 	writeJSON(w, http.StatusOK, struct {
 		Workers int `json:"workers"`
-	}{len(c.Fleet())})
+	}{c.fleet.size()})
 }
 
 // handleSummaries serves the compacted result index.

@@ -288,30 +288,31 @@ func TestPromotedPrimaryDemotesToHigherAuthority(t *testing.T) {
 func TestCapacityWeightedDispatch(t *testing.T) {
 	w1, w2 := "http://192.0.2.1:1", "http://192.0.2.2:1"
 	c, _ := newCoordinator(t, Config{}, w1, w2)
-	c.health.declare(w1, 4)
-	c.health.declare(w2, 1)
+	c.fleet.join(w1, 4)
+	c.fleet.join(w2, 1)
 	counts := map[string]int{}
 	for i := 0; i < 5; i++ {
-		w := c.nextWorker(nil)
+		w, _ := c.fleet.pick(nil, 8)
 		if w == nil {
-			t.Fatal("nextWorker returned nil with two live workers")
+			t.Fatal("pick returned nil with two live workers")
 		}
 		counts[w.url]++
 	}
 	if counts[w1] != 4 || counts[w2] != 1 {
 		t.Fatalf("placement = %v, want 4:1 by declared capacity", counts)
 	}
-	c.releaseWorker(w1)
-	c.mu.Lock()
-	out := c.outstanding[w1]
-	c.mu.Unlock()
+	c.fleet.release(w1)
+	c.fleet.mu.Lock()
+	out := c.fleet.members[w1].outstanding
+	c.fleet.mu.Unlock()
 	if out != 3 {
 		t.Fatalf("outstanding after release = %d, want 3", out)
 	}
 }
 
 // TestJoinDeclaresCapacity: the join payload's capacity hint lands in
-// the health board and the fleet export; negative hints are rejected.
+// the fleet table and its export, a later join without one clears it,
+// and negative hints are rejected.
 func TestJoinDeclaresCapacity(t *testing.T) {
 	_, wurl := newWorker(t, nil)
 	c, ts := newCoordinator(t, Config{})
@@ -325,7 +326,7 @@ func TestJoinDeclaresCapacity(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("join with capacity answered %d, want 200", resp.StatusCode)
 	}
-	if r := c.health.effectiveRate(wurl); r != 12.5 {
+	if r := c.fleet.effectiveRate(wurl); r != 12.5 {
 		t.Fatalf("effectiveRate = %v, want declared 12.5", r)
 	}
 	found := false
@@ -336,6 +337,25 @@ func TestJoinDeclaresCapacity(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("declared capacity missing from the fleet export")
+	}
+
+	// A worker restarted without -capacity re-joins with none: its old
+	// dispatch weight must not outlive the declaration.
+	resp, err = http.Post(ts.URL+"/v1/fleet/join", "application/json", strings.NewReader(fmt.Sprintf(`{"url":%q}`, wurl)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("join without capacity answered %d, want 200", resp.StatusCode)
+	}
+	if r := c.fleet.effectiveRate(wurl); r != 0 {
+		t.Fatalf("effectiveRate after a capacity-less join = %v, want 0", r)
+	}
+	for _, m := range c.FleetMembers() {
+		if m.URL == wurl && m.Health.DeclaredRunsPerSec != 0 {
+			t.Fatalf("fleet export still declares %v runs/sec", m.Health.DeclaredRunsPerSec)
+		}
 	}
 
 	bad := fmt.Sprintf(`{"url":%q,"capacity_runs_per_sec":-1}`, wurl)
@@ -352,11 +372,12 @@ func TestJoinDeclaresCapacity(t *testing.T) {
 // TestDeclaredCapacityFeedsLeases: a declared capacity replaces the
 // cold-start lease ceiling, and observation above the declaration wins.
 func TestDeclaredCapacityFeedsLeases(t *testing.T) {
-	h := newHealthBoard(HealthConfig{}, time.Minute, nil)
+	h := testFleet(newVClock(), HealthConfig{})
+	h.observe("w")
 	if got := h.lease("w", 8); got != time.Minute {
 		t.Fatalf("cold-start lease = %v, want the 1m ceiling", got)
 	}
-	h.declare("w", 4)
+	h.join("w", 4)
 	if got := h.lease("w", 8); got != 6*time.Second {
 		t.Fatalf("declared-capacity lease = %v, want 3·8/4 = 6s", got)
 	}

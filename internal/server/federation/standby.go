@@ -18,7 +18,7 @@ import (
 // currently claiming the primary role is mirrored: its job list folds
 // into the standby's own fsynced ledger (so a promotion — or a standby
 // restart — starts from a durable copy) and its fleet view merges into
-// the standby's membership table. A standby promotes itself only when
+// the standby's fleet table. A standby promotes itself only when
 // EVERY upstream has been silent for FailoverAfter — so with the
 // primary dead but rank 1 alive, rank 2 keeps following (and starts
 // mirroring rank 1 the moment it claims the role) instead of racing it
@@ -123,15 +123,16 @@ func (c *Coordinator) noteEpoch(epoch int64) {
 }
 
 // mirror folds one primary heartbeat into the standby: the fleet view
-// into membership (ensuring client handles for new workers) and every
-// job into the standby's own ledger. In-memory state tracks every
-// change; the ledger is appended only on Status/Error/Total
-// transitions — not per-run Done increments — so mirroring a busy
-// primary does not fsync per result line.
+// into the fleet table (liveness ages only — health scores are not
+// mirrored) and every job into the standby's own ledger. In-memory
+// state tracks every change; the ledger is appended only on
+// Status/Error/Total transitions — not per-run Done increments — so
+// mirroring a busy primary does not fsync per result line.
 func (c *Coordinator) mirror(st server.CoordStatus) {
-	for _, url := range c.members.merge(st.Fleet) {
-		c.ensureWorker(url)
+	for _, url := range c.fleet.merge(st.Fleet) {
+		c.cfg.Logf("lggfed: worker %s joined from the primary's fleet view", url)
 	}
+	c.gFleet.Set(int64(c.fleet.size()))
 	c.mu.Lock()
 	c.mirrorEpoch = st.Epoch
 	c.mu.Unlock()
@@ -256,7 +257,7 @@ func (c *Coordinator) guardLoop() {
 			return
 		}
 		for _, up := range c.upstreams {
-			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.JoinPingTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), pingTimeout)
 			st, err := up.cli.CoordinatorStatus(ctx)
 			cancel()
 			if err != nil {

@@ -59,7 +59,7 @@ func TestStandbyFailoverKeepsBytesIdentical(t *testing.T) {
 		pst, _ := primary.Job(st.ID)
 		sst, mirrored := standby.Job(st.ID)
 		if pst.Done > 0 && !pst.Status.Terminal() &&
-			mirrored && !sst.Status.Terminal() && len(standby.Fleet()) == 2 {
+			mirrored && !sst.Status.Terminal() && len(standby.FleetMembers()) == 2 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)

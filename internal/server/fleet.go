@@ -12,8 +12,10 @@ package server
 // coordinator: an EWMA of observed service rate, the attempt
 // success/failure tallies, and the adaptive straggler lease the
 // coordinator would grant the worker's next range. Exported at
-// GET /v1/fleet so brown-outs are observable, and mirrored by standby
-// coordinators so a freshly promoted primary starts with a warm view.
+// GET /v1/fleet and in /v1/coordinator/status so brown-outs are
+// observable. Standby coordinators do not mirror it: they adopt only
+// each member's URL and age, so a freshly promoted primary scores its
+// fleet from scratch.
 type WorkerHealth struct {
 	// EWMARunsPerSec is the smoothed observed service rate across the
 	// worker's completed ranges (0 until the first completion).
@@ -38,9 +40,9 @@ type WorkerHealth struct {
 }
 
 // FleetMember is one entry of a coordinator's live-worker view, served
-// at GET /v1/fleet. AgeMS (time since the worker was last heard from)
-// rather than an absolute timestamp is exchanged between coordinators'
-// anti-entropy rounds, so their clocks never need to agree.
+// at GET /v1/fleet. A standby mirrors AgeMS (time since the worker was
+// last heard from) rather than an absolute timestamp, so the primary's
+// and the standby's clocks never need to agree.
 type FleetMember struct {
 	URL string `json:"url"`
 	// State is "alive" or "suspect" (past the suspicion threshold

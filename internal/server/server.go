@@ -280,13 +280,16 @@ func (s *Server) Admit(spec JobSpec, key string) (JobState, bool, error) {
 	}
 	s.fifo = append(s.fifo, jb)
 	s.gQueue.Set(int64(len(s.fifo)))
+	// Copied under s.mu: once it is released an executor may already
+	// have moved the job on.
+	st := jb.st
 	s.mu.Unlock()
 	s.cAdmitted.Inc()
 	select {
 	case s.wake <- struct{}{}:
 	default:
 	}
-	return jb.state(), true, nil
+	return st, true, nil
 }
 
 // Unavailable is the shed/drain/standby admission refusal; RetryAfter
